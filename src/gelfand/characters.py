@@ -21,6 +21,7 @@ from .classes import ConjugacyClass, class_size, enumerate_classes
 from .colored import check_group_parameters
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError, UnsupportedGroupError
+from .immutable import Immutable
 from .shapes import (
     Shape,
     ShapeOrbit,
@@ -180,7 +181,7 @@ def delta1(mu: Shape, label: ConjugacyClass) -> Cyclotomic:
     return value * ((-1) ** label.half * 2**cycle_count)
 
 
-class ClassFunction:
+class ClassFunction(Immutable):
     """Exact class function on G(r,p,n), stored by class label."""
 
     __slots__ = ("r", "p", "n", "values")
@@ -193,9 +194,6 @@ class ClassFunction:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", dict(values))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ClassFunction is immutable")
 
     def __call__(self, label: ConjugacyClass) -> Cyclotomic:
         return self.values[label]
@@ -241,7 +239,7 @@ class ClassFunction:
         return self.values[identity]
 
 
-class IrreducibleLabel:
+class IrreducibleLabel(Immutable):
     """Name of an irreducible representation of G(r,p,q,n): a shift orbit
     of shapes plus an index distinguishing split constituents."""
 
@@ -252,9 +250,6 @@ class IrreducibleLabel:
             raise ValueError("split index out of range for this orbit")
         object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "j", j)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IrreducibleLabel is immutable")
 
     def __eq__(self, other) -> bool:
         return (

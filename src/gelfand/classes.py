@@ -16,6 +16,7 @@ lift and canonicalized over the scalar shifts.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd
 
 from .colored import (
@@ -25,10 +26,12 @@ from .colored import (
     check_group_parameters,
     symmetric_elements,
 )
-from .errors import ResourceLimitError, UnsupportedGroupError
+from .errors import InconsistencyError, ResourceLimitError, UnsupportedGroupError
+from .immutable import Immutable
 from .shapes import (
     Shape,
     ShapeOrbit,
+    enumerate_shapes,
     odd_columns,
     partitions,
     shape_key,
@@ -66,7 +69,7 @@ def splits(alpha: Shape, p: int, n: int) -> bool:
     return True
 
 
-class ConjugacyClass:
+class ConjugacyClass(Immutable):
     """Label of a conjugacy class of G(r,p,n).
 
     half is None for unsplit classes, 0 or 1 for the two halves of a split
@@ -92,9 +95,6 @@ class ConjugacyClass:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "half", half)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ConjugacyClass is immutable")
 
     @property
     def n(self) -> int:
@@ -149,36 +149,24 @@ def class_size(label: ConjugacyClass) -> int:
             centralizer *= factorial(m) * (part * label.r) ** m
     size, rem = divmod(label.r**n * factorial(n), centralizer)
     if rem:
-        raise ArithmeticError("centralizer does not divide the group order")
+        raise InconsistencyError("centralizer does not divide the group order")
     if label.half is not None:
         size, rem = divmod(size, 2)
         if rem:
-            raise ArithmeticError("split class of odd size")
+            raise InconsistencyError("split class of odd size")
     return size
 
 
 @lru_cache(maxsize=None)
 def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
     """All classes of G(r,p,n), deterministically ordered."""
-    if r % p != 0:
-        raise ValueError("p must divide r")
+    check_group_parameters(r, p, 1, n)
     if gcd(p, n) not in (1, 2):
         raise UnsupportedGroupError(
             "class enumeration requires GCD(p,n) in {1,2}, got %d" % gcd(p, n)
         )
-
-    def alphas(i, remaining):
-        if i == r - 1:
-            for comp in partitions(remaining):
-                yield (comp,)
-            return
-        for k in range(remaining + 1):
-            for comp in partitions(k):
-                for rest in alphas(i + 1, remaining - k):
-                    yield (comp,) + rest
-
     out = []
-    for alpha in alphas(0, n):
+    for alpha in enumerate_shapes(r, n):
         if label_color(alpha) % p != 0:
             continue
         if splits(alpha, p, n):
@@ -219,7 +207,7 @@ def normal_element(label: ConjugacyClass) -> ColoredPermutation:
         cycles[-1] = tuple(last)
     g = ColoredPermutation.from_cycles(r, label.n, cycles)
     if class_of(g, label.p) != label:
-        raise ArithmeticError("normal element fell outside its class")
+        raise InconsistencyError("normal element fell outside its class")
     return g
 
 
@@ -233,7 +221,7 @@ def _rotations(vec: tuple[int, ...], step: int, count: int):
         yield tuple(vec[(i - s) % size] for i in range(size))
 
 
-class InvolutionClassType:
+class InvolutionClassType(Immutable):
     """S_n-conjugation invariant of an absolute involution in a quotient
     group: color multiplicities of fixed points and 2-cycles, up to the
     color rotation induced by scalar lift changes.
@@ -280,9 +268,6 @@ class InvolutionClassType:
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "twist", twist)
-
-    def __setattr__(self, *args):
-        raise AttributeError("InvolutionClassType is immutable")
 
     @property
     def n(self) -> int:
@@ -380,34 +365,18 @@ def predicted_shapes(ctype: InvolutionClassType, p: int | None = None) -> frozen
         p = ctype.shift_order
     elif p != ctype.shift_order:
         raise ValueError("orbit parameter must match the type's shift order")
-    r = ctype.r
-    out = set()
     if ctype.kind == "sym":
-        choices = []
-        for f_i, q_i in zip(ctype.fixed, ctype.pair):
-            choices.append(
-                [lam for lam in partitions(f_i + 2 * q_i) if odd_columns(lam) == f_i]
-            )
-        def rec(i, acc):
-            if i == r:
-                out.add(ShapeOrbit(tuple(acc), p))
-                return
-            for lam in choices[i]:
-                rec(i + 1, acc + [lam])
-        rec(0, [])
-    else:
-        half = r // 2
-        choices = [partitions(t_i) for t_i in ctype.twist]
-        def rec(i, acc):
-            if i == half:
-                orbit = ShapeOrbit(tuple(acc) + tuple(acc), p)
-                if orbit.m < 2:
-                    raise ArithmeticError("doubled shape failed to be shift-fixed")
-                out.add(orbit)
-                return
-            for lam in choices[i]:
-                rec(i + 1, acc + [lam])
-        rec(0, [])
+        choices = [
+            [lam for lam in partitions(f_i + 2 * q_i) if odd_columns(lam) == f_i]
+            for f_i, q_i in zip(ctype.fixed, ctype.pair)
+        ]
+        return frozenset(ShapeOrbit(shape, p) for shape in product(*choices))
+    out = set()
+    for half in product(*(partitions(t_i) for t_i in ctype.twist)):
+        orbit = ShapeOrbit(half + half, p)
+        if orbit.m < 2:
+            raise InconsistencyError("doubled shape failed to be shift-fixed")
+        out.add(orbit)
     return frozenset(out)
 
 

@@ -5,8 +5,9 @@ Conventions shared by every subcommand:
     model commands print JSON always
   - JSON payloads carry a schema version field
   - exact values render in cyclotomic monomial form
-  - exit status 0 on success, 1 when a verification reports failure,
-    2 on usage errors and resource-guard violations
+  - exit status 0 on success, 1 when a verification reports failure or
+    an internal consistency check fails, 2 on usage errors and
+    resource-guard violations
 
 For involutions and model subcommands, --r/--p/--q/--n describe the
 group whose absolute involutions span the module; that module is a
@@ -22,6 +23,7 @@ import sys
 
 from .characters import character_table, irreducible_count, label_degree
 from .classes import (
+    ENUMERATION_GUARD,
     InvolutionClassType,
     class_size,
     enumerate_classes,
@@ -40,7 +42,7 @@ from .rs import rs
 from .shapes import multitableau_json, multitableau_shape, shape_str
 
 SCHEMA = 1
-DEFAULT_MAX_ORDER = 10**6
+DEFAULT_MAX_ORDER = ENUMERATION_GUARD
 
 
 def _resolve_max_order(args) -> int:
@@ -233,8 +235,6 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_model_decompose(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     only = None
     if args.cls is not None:
         only = InvolutionClassType.parse(args.cls, args.r, args.q)
@@ -244,7 +244,6 @@ def _cmd_model_decompose(args) -> int:
         args.p,
         args.n,
         max_order=_resolve_max_order(args),
-        threads=args.threads,
         only=only,
     )
     payload = {"schema": SCHEMA}
@@ -371,9 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="cls",
         default=None,
         help="restrict to one class type, e.g. 'sym[1,1;1,1]'",
-    )
-    decompose_cmd.add_argument(
-        "--threads", type=int, default=1, help="parallel class verifications"
     )
     decompose_cmd.set_defaults(handler=_cmd_model_decompose)
     check_cmd = model_sub.add_parser(

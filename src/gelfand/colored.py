@@ -21,20 +21,21 @@ import re
 from functools import total_ordering
 
 from .errors import UnsupportedGroupError
+from .immutable import Immutable
 
 
 @total_ordering
-class ColoredPermutation:
+class ColoredPermutation(Immutable):
     """An element of G(r,n) in window notation, immutable."""
 
     __slots__ = ("r", "perm", "colors")
 
     def __init__(self, r: int, perm, colors) -> None:
+        if r < 1:
+            raise ValueError("r must be a positive integer")
         perm = tuple(int(x) for x in perm)
         colors = tuple(int(z) % r for z in colors)
         n = len(perm)
-        if r < 1:
-            raise ValueError("r must be a positive integer")
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("window values must be a permutation of 1..n")
         if len(colors) != n:
@@ -42,9 +43,6 @@ class ColoredPermutation:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "colors", colors)
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("ColoredPermutation is immutable")
 
     # -- basic structure --------------------------------------------------
 
@@ -335,7 +333,7 @@ def group_order(r: int, p: int, q: int, n: int) -> int:
     return size // (p * q)
 
 
-class ProjectiveElement:
+class ProjectiveElement(Immutable):
     """An element of a quotient G(r,p,q,n) = G(r,p,n)/C_q.
 
     Stored as the lift whose color word is lexicographically least in the
@@ -355,9 +353,6 @@ class ProjectiveElement:
         object.__setattr__(
             self, "rep", ColoredPermutation(lift.r, lift.perm, best)
         )
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("ProjectiveElement is immutable")
 
     @property
     def r(self) -> int:

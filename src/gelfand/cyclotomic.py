@@ -17,6 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import InconsistencyError
+from .immutable import Immutable
+
 
 def euler_phi(r: int) -> int:
     if r < 1:
@@ -50,7 +53,7 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         for j, d in enumerate(den):
             num[i - deg_d + j] -= c * d
     if any(num):
-        raise ArithmeticError("polynomial division was not exact")
+        raise InconsistencyError("polynomial division was not exact")
     return quot
 
 
@@ -91,7 +94,7 @@ def _root_power_coeffs(r: int, k: int) -> tuple[Fraction, ...]:
     return tuple(_reduce_mod_phi([Fraction(0)] * k + [Fraction(1)], r))
 
 
-class Cyclotomic:
+class Cyclotomic(Immutable):
     """An element of Q(zeta_order), immutable."""
 
     __slots__ = ("order", "coeffs")
@@ -105,9 +108,6 @@ class Cyclotomic:
             vec.append(Fraction(0))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(vec))
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("Cyclotomic values are immutable")
 
     # -- constructors -------------------------------------------------
 

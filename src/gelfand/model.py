@@ -11,10 +11,6 @@ compared with the combinatorially predicted constituents.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-
 from .characters import (
     ClassFunction,
     IrreducibleLabel,
@@ -24,28 +20,22 @@ from .characters import (
     label_degree,
 )
 from .classes import (
-    ConjugacyClass,
+    ENUMERATION_GUARD,
     InvolutionClassType,
-    class_size,
     enumerate_classes,
     enumerate_involution_classes,
-    involution_type,
     normal_element,
     predicted_shapes,
 )
 from .colored import (
     ColoredPermutation,
     ProjectiveElement,
-    absolute_conjugate,
-    antisymmetric_elements,
     check_group_parameters,
-    group_order,
     projective_conjugate,
 )
 from .cyclotomic import Cyclotomic
-from .errors import InconsistencyError, ResourceLimitError
-
-ENUMERATION_GUARD = 10**6
+from .errors import InconsistencyError
+from .immutable import Immutable
 
 
 def _lift(x) -> ColoredPermutation:
@@ -90,7 +80,7 @@ def a_statistic(g, v) -> int:
     return (vl.colors[0] - vl.colors[source - 1]) % vl.r
 
 
-class ModelBasis:
+class ModelBasis(Immutable):
     """Ordered basis of the involution module of G(r,p,q,n).
 
     elements are the absolute involutions of the dual group G(r,q,p,n) as
@@ -122,9 +112,6 @@ class ModelBasis:
             self, "_index", {v: i for i, v in enumerate(elements)}
         )
 
-    def __setattr__(self, *args):
-        raise AttributeError("ModelBasis is immutable")
-
     @property
     def dimension(self) -> int:
         return len(self.elements)
@@ -148,7 +135,7 @@ class ModelBasis:
         raise ValueError("scope must be 'all', 'M0', 'M1' or a type")
 
 
-class ModelAction:
+class ModelAction(Immutable):
     """Monomial matrix of one group element on a ModelBasis: basis index i
     maps to perm[i] with coefficient scalars[i]."""
 
@@ -158,9 +145,6 @@ class ModelAction:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "perm", tuple(perm))
         object.__setattr__(self, "scalars", tuple(scalars))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ModelAction is immutable")
 
     def compose(self, other: "ModelAction") -> "ModelAction":
         """Action of (this element) * (other element): apply other first."""
@@ -259,7 +243,7 @@ def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]
     return tuple(labels)
 
 
-class ClassVerification:
+class ClassVerification(Immutable):
     """Outcome of checking one block M(c) against its prediction."""
 
     __slots__ = ("ctype", "size", "predicted", "computed", "passed")
@@ -275,9 +259,6 @@ class ClassVerification:
             tuple((label, 1) for label in predicted) == tuple(computed),
         )
 
-    def __setattr__(self, *args):
-        raise AttributeError("ClassVerification is immutable")
-
     def to_json(self) -> dict:
         return {
             "class_type": str(self.ctype),
@@ -291,7 +272,7 @@ class ClassVerification:
         }
 
 
-class VerificationReport:
+class VerificationReport(Immutable):
     __slots__ = ("r", "p", "q", "n", "entries")
 
     def __init__(self, r, p, q, n, entries) -> None:
@@ -300,9 +281,6 @@ class VerificationReport:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, *args):
-        raise AttributeError("VerificationReport is immutable")
 
     @property
     def passed(self) -> bool:
@@ -323,7 +301,6 @@ def verify_class_decomposition(
     q: int,
     n: int,
     max_order: int = ENUMERATION_GUARD,
-    threads: int = 1,
     only: InvolutionClassType | None = None,
 ) -> VerificationReport:
     """Decompose every block M(c) and compare with the predicted list.
@@ -346,24 +323,15 @@ def verify_class_decomposition(
         targets = (only,)
     else:
         raise ValueError("no involution class of type %s" % only)
-
-    def verify_one(ctype):
-        block_char = model_character(basis, ctype)
-        computed = decompose(block_char, table)
-        return ClassVerification(
+    entries = [
+        ClassVerification(
             ctype,
             len(basis.blocks[ctype]),
             predicted_labels(ctype),
-            computed,
+            decompose(model_character(basis, ctype), table),
         )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(verify_one, targets))
-    else:
-        entries = [verify_one(ctype) for ctype in targets]
+        for ctype in targets
+    ]
     return VerificationReport(r, p, q, n, entries)
 
 
@@ -386,101 +354,3 @@ def gelfand_check(
         rows.append((label, mult.integer_value()))
     passed = all(mult == 1 for _, mult in rows)
     return rows, passed
-
-
-# -- cycle-pairing machinery for the antisymmetric analysis ---------------------------
-
-
-def pi21_partitions(g: ColoredPermutation):
-    """Partitions of g's cycles into singletons and equal-length pairs.
-
-    Each partition is a sorted tuple of parts; a part is a tuple of cycle
-    indices into g.cycles().
-    """
-    cycles = g.cycles()
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for tail in rec(rest):
-            yield ((first,),) + tail
-        for i, other in enumerate(rest):
-            if len(cycles[other]) == len(cycles[first]):
-                for tail in rec(rest[:i] + rest[i + 1 :]):
-                    yield ((first, other),) + tail
-
-    return [tuple(sorted(partition)) for partition in rec(tuple(range(len(cycles))))]
-
-
-def part_color(g: ColoredPermutation, part) -> int:
-    """Total color of the cycles in one part, mod r."""
-    cycles = g.cycles()
-    return sum(ColoredPermutation.cycle_color(cycles[i]) for i in part) % g.r
-
-
-def _partition_of(g_cycles, w: ColoredPermutation):
-    """The cycle partition an antisymmetric w induces on g's cycles: cycles
-    are paired when |w| carries one support onto the other."""
-    support_index = {}
-    for idx, cyc in enumerate(g_cycles):
-        support_index[frozenset(e for e, _ in cyc)] = idx
-    parts = set()
-    for idx, cyc in enumerate(g_cycles):
-        image = frozenset(w.perm[e - 1] for e, _ in cyc)
-        other = support_index.get(image)
-        if other is None:
-            return None
-        parts.add(tuple(sorted({idx, other})))
-    covered = sorted(i for part in parts for i in part)
-    if covered != list(range(len(g_cycles))):
-        return None
-    return tuple(sorted(parts))
-
-
-def a_sets(g: ColoredPermutation, eps: int, max_count: int = ENUMERATION_GUARD):
-    """Brute-force classification of the antisymmetric elements w with
-    |g| w |g|^-1 = (-1)^eps w, grouped by the induced cycle partition.
-
-    Returns a dict partition -> sorted tuple of elements; partitions not
-    realized by any w are absent.
-    """
-    r, n = g.r, g.n
-    if r % 2 != 0:
-        return {}
-    if n % 2 == 0:
-        count = r ** (n // 2)
-        for k in range(1, n, 2):
-            count *= k
-        if count > max_count:
-            raise ResourceLimitError(
-                "antisymmetric enumeration needs %d <= %d" % (count, max_count)
-            )
-    cycles = g.cycles()
-    target_shift = (eps * (r // 2)) % r
-    buckets: dict[tuple, list[ColoredPermutation]] = {}
-    for w in antisymmetric_elements(r, n):
-        conj = absolute_conjugate(g, w)
-        if conj.perm != w.perm:
-            continue
-        if any(
-            (cw + target_shift) % r != cc
-            for cw, cc in zip(w.colors, conj.colors)
-        ):
-            continue
-        partition = _partition_of(cycles, w)
-        if partition is None:
-            raise InconsistencyError(
-                "an element commuting with |g| must permute its cycles"
-            )
-        buckets.setdefault(partition, []).append(w)
-    return {part: tuple(sorted(ws)) for part, ws in buckets.items()}
-
-
-def halfway_difference(basis: ModelBasis, label: ConjugacyClass) -> Cyclotomic:
-    """Left side of the antisymmetric trace identity: the difference of the
-    untwisted and twisted block characters at one class."""
-    untwisted = model_character(basis, "M1", twist=False)
-    twisted = model_character(basis, "M1", twist=True)
-    return untwisted(label) - twisted(label)

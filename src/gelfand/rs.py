@@ -15,6 +15,7 @@ descends to shift orbits of tableau pairs.
 from __future__ import annotations
 
 from .colored import ColoredPermutation, ProjectiveElement
+from .errors import InconsistencyError
 from .shapes import (
     ShapeOrbit,
     multitableau_shape,
@@ -45,19 +46,6 @@ def _insert(rows: list[list[int]], value: int) -> tuple[int, int]:
 
 def _freeze(rows: list[list[int]]) -> Tableau:
     return tuple(tuple(row) for row in rows)
-
-
-def insert_word(word) -> tuple[Tableau, Tableau]:
-    """Insertion and recording tableaux of a sequence of distinct integers,
-    recorded by positions 1..len(word)."""
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for pos, value in enumerate(word, start=1):
-        i, j = _insert(p_rows, value)
-        while len(q_rows) <= i:
-            q_rows.append([])
-        q_rows[i].append(pos)  # new cells appear at row ends
-    return _freeze(p_rows), _freeze(q_rows)
 
 
 def rs(g: ColoredPermutation) -> tuple[MultiTableau, MultiTableau]:
@@ -138,10 +126,10 @@ def involution_tableau(v: ColoredPermutation) -> MultiTableau:
     p_tab, q_tab = rs(v)
     if kind == "symmetric":
         if q_tab != p_tab:
-            raise ArithmeticError("symmetric element with distinct P and Q")
+            raise InconsistencyError("symmetric element with distinct P and Q")
     elif kind == "antisymmetric":
         if q_tab != _half_shift(p_tab):
-            raise ArithmeticError("antisymmetric element broke the half shift")
+            raise InconsistencyError("antisymmetric element broke the half shift")
     else:
         raise ValueError("element is not an absolute involution")
     return p_tab

@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .errors import ResourceLimitError
+from .errors import InconsistencyError, ResourceLimitError
+from .immutable import Immutable
 
 Shape = tuple  # tuple of partitions, each a weakly decreasing tuple of ints
 
@@ -97,7 +98,7 @@ def enumerate_shapes(r: int, n: int, q: int = 1) -> list[Shape]:
     return out
 
 
-class ShapeOrbit:
+class ShapeOrbit(Immutable):
     """Orbit of a shape under component shift by r/p steps.
 
     m is the number of shifts fixing the shape (the stabilizer order in the
@@ -122,9 +123,6 @@ class ShapeOrbit:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "canonical", members[0])
         object.__setattr__(self, "m", p // len(members))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ShapeOrbit is immutable")
 
     @property
     def r(self) -> int:
@@ -152,14 +150,6 @@ class ShapeOrbit:
 
     def __repr__(self) -> str:
         return "ShapeOrbit(p=%d, %s)" % (self.p, self)
-
-
-def orbit_of(shape: Shape, p: int) -> ShapeOrbit:
-    return ShapeOrbit(tuple(tuple(comp) for comp in shape), p)
-
-
-def m_p(shape: Shape, p: int) -> int:
-    return ShapeOrbit(shape, p).m
 
 
 def enumerate_orbits(r: int, n: int, p: int, q: int = 1) -> list[ShapeOrbit]:
@@ -221,7 +211,7 @@ def count_standard(shape_or_orbit) -> int:
     if isinstance(shape_or_orbit, ShapeOrbit):
         total = count_standard(shape_or_orbit.canonical)
         if total % shape_or_orbit.m != 0:
-            raise ArithmeticError("orbit filling count was not divisible by m")
+            raise InconsistencyError("orbit filling count was not divisible by m")
         return total // shape_or_orbit.m
     shape = shape_or_orbit
     validate_shape(shape)

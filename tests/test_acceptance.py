@@ -8,6 +8,11 @@ import math
 import random
 from fractions import Fraction
 
+from gelfand.antisymmetric import (
+    a_sets,
+    halfway_difference,
+    part_color,
+)
 from gelfand.characters import (
     IrreducibleLabel,
     character_table,
@@ -38,12 +43,9 @@ from gelfand.colored import (
 from gelfand.cyclotomic import Cyclotomic
 from gelfand.model import (
     ModelBasis,
-    a_sets,
     gelfand_check,
-    halfway_difference,
     model_character,
     pairing,
-    part_color,
     verify_class_decomposition,
 )
 from gelfand.rs import projective_rs, rs, rs_inverse

@@ -1,6 +1,7 @@
 """End-to-end command line checks: output formats, exit codes,
 determinism, and the guard/env-var plumbing."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,23 +186,6 @@ def test_model_decompose_full_small(capsys):
     assert all(entry["pass"] for entry in payload["classes"])
 
 
-def test_model_decompose_threads_flag(capsys):
-    code_serial, out_serial, _ = run(
-        capsys, ["model", "decompose", "--r", "3", "--p", "1", "--q", "1", "--n", "3"]
-    )
-    code_threaded, out_threaded, _ = run(
-        capsys,
-        ["model", "decompose", "--r", "3", "--p", "1", "--q", "1", "--n", "3", "--threads", "4"],
-    )
-    assert code_serial == code_threaded == 0
-    assert out_serial == out_threaded
-    code_bad, _, _ = run(
-        capsys,
-        ["model", "decompose", "--r", "2", "--p", "1", "--q", "1", "--n", "2", "--threads", "0"],
-    )
-    assert code_bad == 2
-
-
 def test_model_decompose_unknown_class(capsys):
     code, _, err = run(
         capsys,
@@ -278,3 +262,74 @@ def test_gcd_guard_exit_code(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "list", "--r", "0", "--p", "1", "--n", "2"],
+        ["classes", "list", "--r", "-2", "--p", "1", "--n", "2"],
+        ["classes", "list", "--r", "2", "--p", "0", "--n", "2"],
+        ["classes", "list", "--r", "2", "--p", "1", "--n", "0"],
+        ["rs", "apply", "[1^0]", "--r", "0"],
+    ],
+)
+def test_invalid_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_failed_internal_check_exits_1(capsys, monkeypatch):
+    import gelfand.classes
+
+    monkeypatch.setattr(gelfand.classes, "class_of", lambda g, p=1: None)
+    code, out, err = run(
+        capsys, ["classes", "list", "--r", "2", "--p", "1", "--n", "2", "--json"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("inconsistency:")
+
+
+# stdout sha256 of small invocations, pinned so that a refactor which
+# changes any output byte fails here
+PINNED_OUTPUT = [
+    (
+        ["model", "decompose", "--r", "2", "--p", "1", "--q", "2", "--n", "4"],
+        "7e25de71c48fa185375d5a245561a5e8970a0efa701598e7f467016da66afbe8",
+    ),
+    (
+        ["model", "gelfand-check", "--r", "2", "--p", "2", "--q", "1", "--n", "4"],
+        "4400618814b003483c64cb3d2e0c89b5911c5a7272ad687280adeeb6997d451c",
+    ),
+    (
+        ["chartable", "--json", "--r", "3", "--p", "1", "--q", "1", "--n", "3"],
+        "823c9c70b5603299f24f2992fd28d93a3e702a1350e77c5766bfb166dc50f323",
+    ),
+    (
+        ["chartable", "--json", "--r", "4", "--p", "2", "--q", "1", "--n", "2"],
+        "e7be791b946d422c37fa58cfcf2d4ac4e92a1d8f703a5e627dd78ebea12b3516",
+    ),
+    (
+        ["involutions", "types", "--json", "--r", "2", "--p", "2", "--q", "1", "--n", "4"],
+        "d020fe62a3c42cd0be80c693bf101d8c5f9bc917b6206ef724a59b2da3ad180b",
+    ),
+    (
+        # G(4,2,4) has split classes
+        ["classes", "list", "--json", "--r", "4", "--p", "2", "--n", "4"],
+        "6b4143fb84124aee53c28f71da1713dd7100d31587b1e6588ddbe98eae0fa71f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    PINNED_OUTPUT,
+    ids=["-".join(a for a in argv if not a.startswith("--")) for argv, _ in PINNED_OUTPUT],
+)
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

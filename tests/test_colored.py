@@ -217,3 +217,11 @@ def test_scalar_center(seed):
     s = ColoredPermutation.scalar(r, n, k)
     assert s * g == g * s
     assert (s * g).color_sum() % r == (g.color_sum() + n * k) % r
+
+
+def test_value_types_are_immutable():
+    g = ColoredPermutation.identity(2, 2)
+    for value in (g, ProjectiveElement(g, 2), zeta(4)):
+        with pytest.raises(AttributeError, match=type(value).__name__):
+            value.r = 3
+        assert not hasattr(value, "__dict__")

@@ -1,0 +1,39 @@
+"""Static hygiene checks, standard library only: no module of the
+package imports a name it never uses, and every name the package
+exports resolves."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gelfand
+
+SOURCES = sorted(
+    path
+    for path in Path(gelfand.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - used)
+    assert not unused, "%s imports unused names: %s" % (path.name, unused)
+
+
+def test_all_names_resolve():
+    missing = [name for name in gelfand.__all__ if not hasattr(gelfand, name)]
+    assert not missing

@@ -7,6 +7,12 @@ from math import factorial
 
 import pytest
 
+from gelfand.antisymmetric import (
+    a_sets,
+    halfway_difference,
+    part_color,
+    pi21_partitions,
+)
 from gelfand.characters import character_table, label_degree
 from gelfand.classes import (
     ConjugacyClass,
@@ -24,16 +30,12 @@ from gelfand.cyclotomic import Cyclotomic
 from gelfand.errors import ResourceLimitError
 from gelfand.model import (
     ModelBasis,
-    a_sets,
     a_statistic,
     gelfand_check,
-    halfway_difference,
     inv_statistic,
     model_action,
     model_character,
     pairing,
-    part_color,
-    pi21_partitions,
     predicted_labels,
     verify_class_decomposition,
 )
@@ -222,12 +224,6 @@ def test_verify_single_block_and_bad_type():
         verify_class_decomposition(
             2, 2, 1, 4, only=InvolutionClassType.parse("sym[0,2;1,1]", 2, 2)
         )
-
-
-def test_verify_threaded_matches_serial():
-    serial = verify_class_decomposition(2, 2, 1, 4)
-    threaded = verify_class_decomposition(2, 2, 1, 4, threads=4)
-    assert serial.to_json() == threaded.to_json()
 
 
 def test_gelfand_check_small():
