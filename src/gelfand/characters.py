@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
 from .classes import ConjugacyClass, class_size, enumerate_classes
 from .colored import check_group_parameters
@@ -348,10 +348,103 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     return total / order
 
 
-def decompose(f: ClassFunction, table) -> list[tuple[IrreducibleLabel, int]]:
-    """Multiplicities of each irreducible in a character, with exactness
-    checks: every multiplicity must be a nonnegative integer and the
-    weighted rows must reassemble f."""
+def _is_sum_of_rows(f: ClassFunction, rows) -> bool:
+    """Whether f equals the sum of the given rows, class by class, in exact
+    arithmetic."""
+    for row in rows:
+        f._same_group(row)
+    for label, value in f.values.items():
+        for row in rows:
+            value = value - row.values[label]
+        if not value.is_zero():
+            return False
+    return True
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+@lru_cache(maxsize=None)
+def _residue_field(r: int) -> tuple[int, int]:
+    """An odd prime ell = 1 (mod r) above 2^16, and a primitive r-th root
+    of unity omega mod ell; zeta_r -> omega is then a ring map from
+    Z[zeta_r, 1/2] onto F_ell."""
+    ell = (2**16 // r + 1) * r + 1
+    while ell % 2 == 0 or not _is_prime(ell):
+        ell += r
+    prime_factors = [s for s in range(2, r + 1) if r % s == 0 and _is_prime(s)]
+    omega = next(
+        w
+        for w in (pow(a, (ell - 1) // r, ell) for a in range(2, ell))
+        if all(pow(w, r // s, ell) != 1 for s in prime_factors)
+    )
+    return ell, omega
+
+
+def rows_independent(table) -> bool:
+    """Certify that the rows of a table are linearly independent over
+    Q(zeta_r), by full row rank of their images mod a prime ell = 1 (mod r).
+
+    A nonzero maximal minor mod ell is nonzero in Q(zeta_r), so True is a
+    proof.  False means only that the certificate failed: the rows may be
+    dependent, or a value's denominator is divisible by ell.  The rows of
+    a genuine table of G(r,p,q,n) always pass: they are rows of the square
+    table of G(r,p,n), whose determinant times its conjugate is, up to
+    sign, the product of the centralizer orders, and ell divides none of
+    them (their prime factors divide r or are at most n).
+    """
+    first = table[0][1]
+    r = first.r
+    ell, omega = _residue_field(r)
+    powers = [pow(omega, k, ell) for k in range(r)]
+    classes = list(first.values)
+    pivots = []
+    for _, row in table:
+        reduced = []
+        for label in classes:
+            total = 0
+            for c, w in zip(row.values[label].to_order(r).coeffs, powers):
+                if c:
+                    if c.denominator % ell == 0:
+                        return False
+                    total += c.numerator * pow(c.denominator, -1, ell) * w
+            reduced.append(total % ell)
+        for col, pivot in pivots:
+            c = reduced[col]
+            if c:
+                reduced = [(x - c * y) % ell for x, y in zip(reduced, pivot)]
+        col = next((j for j, x in enumerate(reduced) if x), None)
+        if col is None:
+            return False
+        inverse = pow(reduced[col], -1, ell)
+        pivots.append((col, [x * inverse % ell for x in reduced]))
+    return True
+
+
+def decompose(
+    f: ClassFunction, table, expected=None
+) -> list[tuple[IrreducibleLabel, int]]:
+    """Multiplicities of each irreducible in a character.
+
+    When expected lists labels of the table and f equals the sum of their
+    rows, each of them has multiplicity 1 and no other row occurs.  That
+    reassembly test is exact only for linearly independent rows, so pass
+    expected only for a table that rows_independent has certified.
+    Otherwise every row is projected out by an inner product, with
+    exactness checks: every multiplicity must be a nonnegative integer and
+    the weighted rows must reassemble f.
+    """
+    if expected is not None:
+        rows = dict(table)
+        expected = set(expected)
+        if expected <= rows.keys() and _is_sum_of_rows(
+            f, [rows[label] for label in expected]
+        ):
+            return sorted(
+                ((label, 1) for label in expected),
+                key=lambda pair: pair[0].sort_key(),
+            )
     result = []
     reassembled = None
     for label, row in table:

@@ -5,9 +5,9 @@ Conventions shared by every subcommand:
     model commands print JSON always
   - JSON payloads carry a schema version field
   - exact values render in cyclotomic monomial form
-  - exit status 0 on success, 1 when a verification reports failure or
-    an internal consistency check fails, 2 on usage errors and
-    resource-guard violations
+  - exit status 0 on success, 1 when a verification reports failure, 2
+    on usage errors and resource-guard violations, 3 when an internal
+    consistency check fails
 
 For involutions and model subcommands, --r/--p/--q/--n describe the
 group whose absolute involutions span the module; that module is a
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
         return 2
     except InconsistencyError as exc:
         print("inconsistency: %s" % exc, file=sys.stderr)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

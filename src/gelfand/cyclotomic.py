@@ -101,9 +101,13 @@ class Cyclotomic(Immutable):
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        vec = [Fraction(c) for c in coeffs]
+        vec = list(coeffs)
         if len(vec) > phi:
-            vec = _reduce_mod_phi(vec, order)
+            # ints stay ints through the reduction, which is then cheaper
+            vec = _reduce_mod_phi(
+                [c if isinstance(c, int) else Fraction(c) for c in vec], order
+            )
+        vec = [Fraction(c) for c in vec]
         while len(vec) < phi:
             vec.append(Fraction(0))
         object.__setattr__(self, "order", order)

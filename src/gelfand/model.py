@@ -5,19 +5,24 @@ G(r,q,p,n).  A group element acts by conjugating the basis involution with
 its underlying permutation and scaling by a root of unity built from a
 color pairing, an inversion count (symmetric case) or a color transfer
 statistic (antisymmetric case).  Everything here is verified rather than
-assumed: traces are decomposed against the exact character table and
-compared with the combinatorially predicted constituents.
+assumed: each block's trace must equal the sum of the table rows
+combinatorially predicted for it, once the rows are certified independent,
+and is otherwise decomposed against the table by exact inner products.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .characters import (
     ClassFunction,
     IrreducibleLabel,
+    _is_sum_of_rows,
     character_table,
     decompose,
     inner_product,
     label_degree,
+    rows_independent,
 )
 from .classes import (
     ENUMERATION_GUARD,
@@ -59,25 +64,38 @@ def pairing(g, v) -> int:
     if isinstance(g, ProjectiveElement):
         if (vl.color_sum() * (r // g.q)) % r != 0:
             raise ValueError("pairing is not lift-independent for this pair")
-    return sum(a * b for a, b in zip(gl.colors, vl.colors)) % r
+    return _pairing(gl.colors, vl.colors, r)
 
 
 def inv_statistic(g, v) -> int:
     """Number of inversions of |g| located on the 2-cycles of |v|."""
-    gl, vl = _lift(g), _lift(v)
-    count = 0
-    for i in range(1, vl.n + 1):
-        j = vl.perm[i - 1]
-        if i < j and gl.perm[i - 1] > gl.perm[j - 1]:
-            count += 1
-    return count
+    return _inversions(_lift(g).perm, _lift(v).perm)
 
 
 def a_statistic(g, v) -> int:
     """Color transferred past position 1: z_1(v) - z_{|g|^{-1}(1)}(v) mod r."""
     gl, vl = _lift(g), _lift(v)
-    source = gl.perm.index(1) + 1
-    return (vl.colors[0] - vl.colors[source - 1]) % vl.r
+    return _transfer(vl.colors, gl.perm.index(1), vl.r)
+
+
+# The statistics on raw windows: colors are tuples of exponents, perms
+# 1-based tuples, source the 0-based position |g|^{-1}(1).
+
+
+def _pairing(g_colors, v_colors, r: int) -> int:
+    return sum(a * b for a, b in zip(g_colors, v_colors)) % r
+
+
+def _inversions(g_perm, v_perm) -> int:
+    return sum(
+        1
+        for i, j in enumerate(v_perm, 1)
+        if i < j and g_perm[i - 1] > g_perm[j - 1]
+    )
+
+
+def _transfer(v_colors, source: int, r: int) -> int:
+    return (v_colors[0] - v_colors[source]) % r
 
 
 class ModelBasis(Immutable):
@@ -211,23 +229,77 @@ def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
     return ModelAction(basis, perm, scalars)
 
 
+@lru_cache(maxsize=None)
+def _class_window(label):
+    """Raw window of the canonical representative g of a class: its
+    1-based perm, its 0-based perm, its colors, its color sum, and the
+    0-based position |g|^{-1}(1)."""
+    g = normal_element(label)
+    return (
+        g.perm,
+        tuple(s - 1 for s in g.perm),
+        g.colors,
+        g.color_sum(),
+        g.perm.index(1),
+    )
+
+
 def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> ClassFunction:
     """Trace of the action on a block, as a class function on G(r,p,n).
 
     Evaluated at the canonical representative of each class; only basis
-    vectors fixed by the conjugation contribute their scalar.
+    vectors fixed by the conjugation contribute their scalar.  The loop
+    runs on raw windows and sums the scalars, which are signed r-th roots
+    of unity, as a histogram of exponents per class.
     """
     indices = basis.scope_indices(scope)
-    values = {}
-    for label in enumerate_classes(basis.r, basis.p, basis.n):
-        g = normal_element(label)
-        total = Cyclotomic.zero(basis.r)
-        for i in indices:
-            v = basis.elements[i]
-            if projective_conjugate(g, v) == v:
-                total = total + _action_scalar(g, v, twist)
-        values[label] = total
-    return ClassFunction(basis.r, basis.p, basis.n, values)
+    r = basis.r
+    labels = enumerate_classes(r, basis.p, basis.n)
+    windows = [_class_window(label) for label in labels]
+    # every basis coset has scalar order basis.p, so a lift changes the
+    # colors by a multiple of step
+    step = r // basis.p
+    for _, _, _, color_sum, _ in windows:
+        if color_sum * step % r:
+            raise ValueError("pairing is not lift-independent for this pair")
+    histograms = [[0] * r for _ in labels]
+    for i in indices:
+        rep = basis.elements[i].rep
+        kind = rep.symmetry_kind()
+        if kind == "neither":
+            raise ValueError("basis element is neither symmetric nor antisymmetric")
+        v_perm, v_colors = rep.perm, rep.colors
+        for histogram, (g_perm, g0, g_colors, _, source) in zip(histograms, windows):
+            # |g| v |g|^{-1} has color v_colors[g0[j]] at j, and the same
+            # perm as v when v_perm[g0[j]] == |g|(v_perm[j]) for every j; it
+            # is v in the quotient when, besides, its colors differ from
+            # v's by one multiple of step
+            shift = (v_colors[g0[0]] - v_colors[0]) % r
+            if shift % step:
+                continue
+            for j, c in enumerate(g0):
+                if (
+                    v_perm[c] != g_perm[v_perm[j] - 1]
+                    or (v_colors[c] - v_colors[j]) % r != shift
+                ):
+                    break
+            else:
+                exponent = _pairing(g_colors, v_colors, r)
+                if kind == "symmetric":
+                    histogram[exponent] += -1 if _inversions(g_perm, v_perm) % 2 else 1
+                else:
+                    if twist:
+                        exponent = (exponent + _transfer(v_colors, source, r)) % r
+                    histogram[exponent] += 1
+    return ClassFunction(
+        r,
+        basis.p,
+        basis.n,
+        {
+            label: Cyclotomic(r, histogram)
+            for label, histogram in zip(labels, histograms)
+        },
+    )
 
 
 def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]:
@@ -305,6 +377,9 @@ def verify_class_decomposition(
 ) -> VerificationReport:
     """Decompose every block M(c) and compare with the predicted list.
 
+    When the table's rows are certified independent, a block whose
+    character equals the sum of its predicted rows is proved to match
+    without projecting; any other block is decomposed by inner products.
     Also checks the global consistency anchors: the basis size equals the
     sum of the irreducible degrees, and block sizes sum to the dimension.
     Pass only=type to restrict the report to one block.
@@ -323,15 +398,16 @@ def verify_class_decomposition(
         targets = (only,)
     else:
         raise ValueError("no involution class of type %s" % only)
-    entries = [
-        ClassVerification(
-            ctype,
-            len(basis.blocks[ctype]),
-            predicted_labels(ctype),
-            decompose(model_character(basis, ctype), table),
+    certified = rows_independent(table)
+    entries = []
+    for ctype in targets:
+        predicted = predicted_labels(ctype)
+        computed = decompose(
+            model_character(basis, ctype), table, predicted if certified else None
         )
-        for ctype in targets
-    ]
+        entries.append(
+            ClassVerification(ctype, len(basis.blocks[ctype]), predicted, computed)
+        )
     return VerificationReport(r, p, q, n, entries)
 
 
@@ -342,10 +418,15 @@ def gelfand_check(
 
     Returns (rows, passed): rows lists (IrreducibleLabel, multiplicity) for
     every table row, and passed is True exactly when every multiplicity is 1.
+    When the rows are certified independent and the full character equals
+    their sum, every multiplicity is 1 without projecting; otherwise each
+    row is projected out by an inner product.
     """
     basis = ModelBasis(r, p, q, n, max_order)
     table = character_table(r, p, q, n)
     full = model_character(basis, "all")
+    if rows_independent(table) and _is_sum_of_rows(full, [row for _, row in table]):
+        return [(label, 1) for label, _ in table], True
     rows = []
     for label, row in table:
         mult = inner_product(full, row)

@@ -10,12 +10,14 @@ import pytest
 from gelfand.characters import (
     ClassFunction,
     IrreducibleLabel,
+    _residue_field,
     character_table,
     decompose,
     delta1,
     inner_product,
     irreducible_count,
     label_degree,
+    rows_independent,
     sym_character,
     wreath_character,
 )
@@ -208,3 +210,41 @@ def test_irreducible_label_str_and_order():
     assert len(split_names) == 4
     keys = [label.sort_key() for label, _ in table]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [(1, 1, 1, 4), (2, 2, 1, 4), (3, 1, 1, 3), (4, 2, 1, 2), (4, 1, 2, 4), (6, 2, 1, 2)],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_rows_independent_certifies_tables(group):
+    assert rows_independent(character_table(*group))
+
+
+def test_rows_independent_rejects_dependent_rows():
+    table = character_table(2, 2, 1, 4)
+    duplicated = table + [table[3]]
+    assert not rows_independent(duplicated)
+    summed = list(table)
+    summed[5] = (summed[5][0], table[1][1] + table[2][1])
+    assert not rows_independent(summed)
+
+
+def test_rows_independent_rejects_denominator_divisible_by_prime():
+    table = character_table(4, 2, 1, 2)
+    ell, omega = _residue_field(4)
+    assert pow(omega, 2, ell) == ell - 1
+    scaled = list(table)
+    scaled[0] = (scaled[0][0], table[0][1].scale(Fraction(1, ell)))
+    assert not rows_independent(scaled)
+
+
+def test_decompose_shortcut_agrees_with_projection():
+    table = character_table(2, 2, 1, 4)
+    labels = [table[0][0], table[4][0], table[7][0]]
+    f = table[0][1] + table[4][1] + table[7][1]
+    expected = sorted(((label, 1) for label in labels), key=lambda pair: pair[0].sort_key())
+    assert decompose(f, table, labels) == decompose(f, table) == expected
+    # a wrong guess falls back to projection and still finds all three
+    assert decompose(f, table, labels[:2]) == expected
+    assert decompose(f + table[7][1], table, labels) == decompose(f + table[7][1], table)

@@ -281,14 +281,14 @@ def test_invalid_parameters_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_failed_internal_check_exits_1(capsys, monkeypatch):
+def test_failed_internal_check_exits_3(capsys, monkeypatch):
     import gelfand.classes
 
     monkeypatch.setattr(gelfand.classes, "class_of", lambda g, p=1: None)
     code, out, err = run(
         capsys, ["classes", "list", "--r", "2", "--p", "1", "--n", "2", "--json"]
     )
-    assert code == 1
+    assert code == 3
     assert out == ""
     assert err.startswith("inconsistency:")
 

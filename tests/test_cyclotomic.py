@@ -148,3 +148,21 @@ def test_ring_axioms(first, second, third):
 def test_conjugation_is_involutive(coords):
     x = _element(coords) + Cyclotomic.from_rational(Fraction(1, 3))
     assert x.conjugate().conjugate() == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.sampled_from([1, 2, 3, 4, 6, 12]),
+    data=st.data(),
+)
+def test_power_list_longer_than_phi_reduces(order, data):
+    weights = data.draw(
+        st.lists(st.integers(-5, 5), min_size=order, max_size=order)
+    )
+    total = Cyclotomic.zero(order)
+    for k, w in enumerate(weights):
+        total = total + Cyclotomic.root(order, k) * w
+    assert Cyclotomic(order, weights) == total
+    halves = [Fraction(w, 2) for w in weights]
+    assert Cyclotomic(order, halves) == Cyclotomic(order, [str(h) for h in halves])
+    assert Cyclotomic(order, halves) == total * Fraction(1, 2)

@@ -1,35 +1,49 @@
 """The involution module: pairing and statistics, the monomial action as
-a genuine homomorphism, block structure, character verification, and the
+a genuine homomorphism, block structure, character verification against
+the object-level trace loop and the projection path, and the
 antisymmetric cycle-pairing machinery."""
 
 import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gelfand.characters
+import gelfand.model
 from gelfand.antisymmetric import (
     a_sets,
     halfway_difference,
     part_color,
     pi21_partitions,
 )
-from gelfand.characters import character_table, label_degree
+from gelfand.characters import (
+    ClassFunction,
+    character_table,
+    decompose,
+    label_degree,
+    rows_independent,
+)
 from gelfand.classes import (
     ConjugacyClass,
     InvolutionClassType,
     enumerate_classes,
     normal_element,
 )
+from gelfand.cli import main
 from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
     parse_window,
+    projective_conjugate,
     subgroup_elements,
 )
 from gelfand.cyclotomic import Cyclotomic
 from gelfand.errors import ResourceLimitError
 from gelfand.model import (
     ModelBasis,
+    _action_scalar,
     a_statistic,
     gelfand_check,
     inv_statistic,
@@ -132,8 +146,9 @@ def test_model_basis_dimension_and_blocks():
 
 def test_action_is_homomorphism():
     rng = random.Random(3)
-    for r, p, n in [(2, 2, 4), (3, 1, 3)]:
-        basis = ModelBasis(r, p, 1, n)
+    # G(2,1,2,4) is a quotient; G(4,2,1,2) has r = 4 and split classes
+    for r, p, q, n in [(2, 2, 1, 4), (3, 1, 1, 3), (2, 1, 2, 4), (4, 2, 1, 2)]:
+        basis = ModelBasis(r, p, q, n)
         pool = list(subgroup_elements(r, p, n))
         for _ in range(150):
             g, h = rng.choice(pool), rng.choice(pool)
@@ -186,6 +201,145 @@ def test_block_characters_sum_to_full():
         block = model_character(basis, ctype)
         total = block if total is None else total + block
     assert total == model_character(basis, "all")
+
+
+def _reference_model_character(basis, scope="all", twist=True):
+    """The block trace on group objects: conjugate every basis coset by the
+    class representative and add the action scalar at each fixed point."""
+    indices = basis.scope_indices(scope)
+    values = {}
+    for label in enumerate_classes(basis.r, basis.p, basis.n):
+        g = normal_element(label)
+        total = Cyclotomic.zero(basis.r)
+        for i in indices:
+            v = basis.elements[i]
+            if projective_conjugate(g, v) == v:
+                total = total + _action_scalar(g, v, twist)
+        values[label] = total
+    return ClassFunction(basis.r, basis.p, basis.n, values)
+
+
+# basis-group flags r p q n, as on the command line; the acting group,
+# which ModelBasis takes, exchanges p and q.  They cover r = 2, 3, 4, 6,
+# quotients (q > 1) and split classes.
+DIFFERENTIAL_BASES = [
+    (2, 1, 2, 4),
+    (2, 2, 1, 4),
+    (3, 1, 1, 3),
+    (4, 1, 2, 2),
+    (4, 2, 1, 2),
+    (6, 1, 2, 2),
+]
+
+
+def _flags_id(flags):
+    return "-".join(map(str, flags))
+
+
+def _basis_from_flags(r, p, q, n):
+    return ModelBasis(r, q, p, n)
+
+
+@pytest.mark.parametrize("flags", DIFFERENTIAL_BASES, ids=_flags_id)
+def test_model_character_matches_reference(flags):
+    basis = _basis_from_flags(*flags)
+    for scope in basis.types + ("all", "M0", "M1"):
+        for twist in (True, False):
+            assert model_character(basis, scope, twist) == (
+                _reference_model_character(basis, scope, twist)
+            ), (scope, twist)
+
+
+@pytest.mark.parametrize("flags", DIFFERENTIAL_BASES, ids=_flags_id)
+def test_reassembly_matches_projection(flags):
+    basis = _basis_from_flags(*flags)
+    table = character_table(basis.r, basis.p, basis.q, basis.n)
+    assert rows_independent(table)
+    for ctype in basis.types:
+        f = model_character(basis, ctype)
+        assert decompose(f, table, predicted_labels(ctype)) == decompose(f, table)
+
+
+@st.composite
+def _subgroup_element(draw, r, p, n):
+    """An element of G(r,p,n): any window, with the last color adjusted so
+    that the color sum is divisible by p."""
+    perm = draw(st.permutations(range(1, n + 1)))
+    colors = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    colors[-1] -= sum(colors) % p
+    return ColoredPermutation(r, perm, colors)
+
+
+@pytest.mark.parametrize(
+    "flags", [(2, 1, 2, 4), (4, 1, 2, 2), (3, 1, 1, 3)], ids=_flags_id
+)
+def test_block_trace_is_constant_on_conjugates(flags):
+    basis = _basis_from_flags(*flags)
+    labels = enumerate_classes(basis.r, basis.p, basis.n)
+    characters = {ctype: model_character(basis, ctype) for ctype in basis.types}
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=_subgroup_element(basis.r, basis.p, basis.n))
+    def check(h):
+        for label in labels:
+            g = normal_element(label)
+            action = model_action(h * g * h.inverse(), basis)
+            for ctype, chi in characters.items():
+                assert action.trace(basis.blocks[ctype]) == chi(label)
+
+    check()
+
+
+def _report_json(report):
+    return [entry.to_json() for entry in report.entries]
+
+
+def test_wrong_prediction_falls_back_to_projection(monkeypatch, capsys):
+    predicted = gelfand.model.predicted_labels
+    monkeypatch.setattr(
+        gelfand.model, "predicted_labels", lambda ctype: predicted(ctype)[:-1]
+    )
+    report = verify_class_decomposition(2, 2, 1, 4)
+    assert not any(entry.passed for entry in report.entries)
+    monkeypatch.setattr(gelfand.model, "rows_independent", lambda table: False)
+    slow = verify_class_decomposition(2, 2, 1, 4)
+    assert _report_json(report) == _report_json(slow)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        gelfand.model, "predicted_labels", lambda ctype: predicted(ctype)[:-1]
+    )
+    argv = ["model", "decompose", "--r", "2", "--p", "1", "--q", "2", "--n", "4"]
+    assert main(argv) == 1
+    assert '"pass": false' in capsys.readouterr().out
+
+
+def _count_inner_products(monkeypatch):
+    calls = []
+    inner_product = gelfand.characters.inner_product
+
+    def counted(f, g):
+        calls.append(None)
+        return inner_product(f, g)
+
+    monkeypatch.setattr(gelfand.characters, "inner_product", counted)
+    monkeypatch.setattr(gelfand.model, "inner_product", counted)
+    return calls
+
+
+def test_uncertified_table_projects_every_block(monkeypatch):
+    calls = _count_inner_products(monkeypatch)
+    table = character_table(2, 2, 1, 4)
+    certified = verify_class_decomposition(2, 2, 1, 4)
+    assert certified.passed
+    assert gelfand_check(2, 2, 1, 4)[1]
+    assert len(calls) == 0
+    monkeypatch.setattr(gelfand.model, "rows_independent", lambda table: False)
+    projected = verify_class_decomposition(2, 2, 1, 4)
+    assert _report_json(projected) == _report_json(certified)
+    assert len(calls) == len(table) * len(certified.entries)
+    del calls[:]
+    assert gelfand_check(2, 2, 1, 4)[1]
+    assert len(calls) == len(table)
 
 
 def test_predicted_labels_shape():
