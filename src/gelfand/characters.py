@@ -1,9 +1,12 @@
 """Exact character theory for G(r,p,n) and its quotients.
 
-Symmetric-group characters come from the border-strip recursion on beta
-numbers.  Characters of the wreath product G(r,n) are evaluated by running
-the induced-character sum over ordered set partitions, grouped by the
-assignment of cycles to color components.  For split representations of
+Characters of the wreath product G(r,n) come from the Murnaghan-Nakayama
+rule: each cycle of length k and color c, longest first, removes a border
+strip of length k from some component i of the label, with sign
+(-1)^leg and factor zeta_r^(i*c).  Border strips are found on beta
+numbers by one cached helper shared with the symmetric-group case
+(r = 1); the memo over remaining shapes lives for one evaluation only,
+so no cache grows with the table.  For split representations of
 G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the two constituents are
 reconstructed from the restricted character and the closed-form difference
 character.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt
+from math import factorial, gcd, isqrt
 
 from .classes import ConjugacyClass, class_size, enumerate_classes
 from .colored import check_group_parameters
@@ -33,10 +36,25 @@ from .shapes import (
 )
 
 
-def _beta_to_partition(beta: tuple[int, ...]) -> tuple[int, ...]:
-    length = len(beta)
-    parts = tuple(b - (length - 1 - i) for i, b in enumerate(beta))
-    return tuple(part for part in parts if part > 0)
+@lru_cache(maxsize=None)
+def _strips(partition: tuple[int, ...], k: int) -> tuple:
+    """(partition less the strip, leg length) for every border strip of
+    length k, found as the moves b -> b - k of its beta numbers."""
+    length = len(partition)
+    beta = [part + length - 1 - i for i, part in enumerate(partition)]
+    result = []
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        leg = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        smaller = tuple(
+            part for part in (c - (length - 1 - i) for i, c in enumerate(new_beta))
+            if part > 0
+        )
+        result.append((smaller, leg))
+    return tuple(result)
 
 
 @lru_cache(maxsize=None)
@@ -47,96 +65,43 @@ def sym_character(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
         raise ValueError("partition sizes differ")
     if not alpha:
         return 1
-    k, rest = alpha[0], alpha[1:]
-    length = len(lam)
-    beta = tuple(lam[i] + (length - 1 - i) for i in range(length))
-    total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = tuple(sorted((c for c in beta if c != b), reverse=True))
-        new_beta = tuple(sorted(new_beta + (nb,), reverse=True))
-        total += (-1) ** height * sym_character(_beta_to_partition(new_beta), rest)
-    return total
+    return sum(
+        (-1) ** leg * sym_character(smaller, alpha[1:])
+        for smaller, leg in _strips(lam, alpha[0])
+    )
 
 
-def _cycle_items(alpha: Shape) -> list[tuple[int, int, int]]:
-    """Distinct (length, color, multiplicity) triples of a class label."""
-    items = []
-    for color, comp in enumerate(alpha):
-        mult: dict[int, int] = {}
-        for part in comp:
-            mult[part] = mult.get(part, 0) + 1
-        for length, m in sorted(mult.items(), reverse=True):
-            items.append((length, color, m))
-    return items
+def _wreath_histogram(lam: Shape, cycles) -> list[int]:
+    """Integer coefficients of zeta_r^0, ..., zeta_r^(r-1) in chi_lam at a
+    class with the given (length, color) cycles, longest first.
 
-
-@lru_cache(maxsize=None)
-def _wreath_character_raw(lam: Shape, alpha: Shape) -> tuple:
-    """Exponent -> integer weight table for the induced-character sum.
-
-    The sum runs over ordered set partitions of [n] into color blocks of
-    sizes |lam^(i)| that are unions of cycles; grouping by which cycles land
-    in which block turns it into a sum over distributions of the cycle
-    multiset, weighted by multinomial coefficients.  Each distribution
-    contributes zeta_r^(sum_i i*colors_i) times the product of
-    symmetric-group characters on the per-block cycle lengths.
+    Each cycle (k, c) removes a border strip of length k from some
+    component i of lam, with sign (-1)^leg and factor zeta_r^(i*c).  The
+    memo keys on the remaining shape alone, since its size fixes how many
+    cycles are left, and it lives for this call only.
     """
     r = len(lam)
-    capacities = [sum(comp) for comp in lam]
-    items = _cycle_items(alpha)
-    weights: dict[int, int] = {}
-    lengths: list[list[int]] = [[] for _ in range(r)]
-    color_sums = [0] * r
+    memo: dict = {}
 
-    def push(i, length, color, count):
-        capacities[i] -= count * length
-        lengths[i].extend([length] * count)
-        color_sums[i] += count * color
+    def walk(shape, j):
+        if j == len(cycles):
+            return [1] + [0] * (r - 1)
+        histogram = memo.get(shape)
+        if histogram is None:
+            histogram = [0] * r
+            k, color = cycles[j]
+            for i, part in enumerate(shape):
+                shift = i * color
+                for smaller, leg in _strips(part, k):
+                    rest = walk(shape[:i] + (smaller,) + shape[i + 1 :], j + 1)
+                    sign = -1 if leg % 2 else 1
+                    for e, weight in enumerate(rest):
+                        if weight:
+                            histogram[(e + shift) % r] += sign * weight
+            memo[shape] = histogram
+        return histogram
 
-    def pop(i, length, color, count):
-        capacities[i] += count * length
-        if count:
-            del lengths[i][-count:]
-        color_sums[i] -= count * color
-
-    def terminal(coefficient):
-        factor = coefficient
-        for i in range(r):
-            factor *= sym_character(
-                tuple(lam[i]), tuple(sorted(lengths[i], reverse=True))
-            )
-            if factor == 0:
-                return
-        exponent = sum(i * color_sums[i] for i in range(r)) % r
-        weights[exponent] = weights.get(exponent, 0) + factor
-
-    def assign(idx, coefficient):
-        if idx == len(items):
-            terminal(coefficient)
-            return
-        length, color, mult = items[idx]
-
-        def distribute(i, left, coeff):
-            if i == r - 1:
-                if left * length > capacities[i]:
-                    return
-                push(i, length, color, left)
-                assign(idx + 1, coeff)
-                pop(i, length, color, left)
-                return
-            for take in range(min(left, capacities[i] // length) + 1):
-                push(i, length, color, take)
-                distribute(i + 1, left - take, coeff * comb(left, take))
-                pop(i, length, color, take)
-
-        distribute(0, mult, coefficient)
-
-    assign(0, 1)
-    return tuple(sorted(weights.items()))
+    return walk(lam, 0)
 
 
 def wreath_character(lam: Shape, alpha) -> Cyclotomic:
@@ -151,11 +116,10 @@ def wreath_character(lam: Shape, alpha) -> Cyclotomic:
         raise ValueError("label and class need the same number of colors")
     if shape_size(lam) != shape_size(alpha):
         raise ValueError("label and class sizes differ")
-    r = len(lam)
-    value = Cyclotomic.zero(r)
-    for exponent, weight in _wreath_character_raw(lam, alpha):
-        value = value + Cyclotomic.root(r, exponent) * weight
-    return value
+    cycles = sorted(
+        ((k, color) for color, comp in enumerate(alpha) for k in comp), reverse=True
+    )
+    return Cyclotomic(len(lam), _wreath_histogram(tuple(lam), cycles))
 
 
 def delta1(mu: Shape, label: ConjugacyClass) -> Cyclotomic:

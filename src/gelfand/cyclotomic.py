@@ -21,6 +21,7 @@ from .errors import InconsistencyError
 from .immutable import Immutable
 
 
+@lru_cache(maxsize=None)
 def euler_phi(r: int) -> int:
     if r < 1:
         raise ValueError("order must be a positive integer")

@@ -17,10 +17,8 @@ from functools import lru_cache
 from .characters import (
     ClassFunction,
     IrreducibleLabel,
-    _is_sum_of_rows,
     character_table,
     decompose,
-    inner_product,
     label_degree,
     rows_independent,
 )
@@ -418,20 +416,18 @@ def gelfand_check(
 
     Returns (rows, passed): rows lists (IrreducibleLabel, multiplicity) for
     every table row, and passed is True exactly when every multiplicity is 1.
-    When the rows are certified independent and the full character equals
-    their sum, every multiplicity is 1 without projecting; otherwise each
-    row is projected out by an inner product.
+    The full character goes through decompose, expecting every row once
+    when the rows are certified independent.
     """
     basis = ModelBasis(r, p, q, n, max_order)
     table = character_table(r, p, q, n)
-    full = model_character(basis, "all")
-    if rows_independent(table) and _is_sum_of_rows(full, [row for _, row in table]):
-        return [(label, 1) for label, _ in table], True
-    rows = []
-    for label, row in table:
-        mult = inner_product(full, row)
-        if not mult.is_integer():
-            raise InconsistencyError("non-integral multiplicity for %s" % label)
-        rows.append((label, mult.integer_value()))
-    passed = all(mult == 1 for _, mult in rows)
-    return rows, passed
+    labels = [label for label, _ in table]
+    mults = dict(
+        decompose(
+            model_character(basis, "all"),
+            table,
+            labels if rows_independent(table) else None,
+        )
+    )
+    rows = [(label, mults.get(label, 0)) for label in labels]
+    return rows, all(mult == 1 for _, mult in rows)

@@ -3,7 +3,8 @@ group values, wreath characters, the difference character on split
 classes, table orthogonality, and exact decomposition."""
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -24,7 +25,7 @@ from gelfand.characters import (
 from gelfand.classes import ConjugacyClass, class_size, enumerate_classes
 from gelfand.cyclotomic import Cyclotomic
 from gelfand.errors import InconsistencyError, UnsupportedGroupError
-from gelfand.shapes import count_standard, partitions
+from gelfand.shapes import Shape, count_standard, enumerate_shapes, partitions
 
 
 def test_sym_trivial_and_sign_rows():
@@ -94,6 +95,102 @@ def test_wreath_degree_is_standard_count():
     assert wreath_character(lam, identity) == Cyclotomic.from_rational(
         count_standard(lam)
     )
+
+
+# The induced-character sum that wreath_character replaced, kept verbatim
+# as the reference: a sum over distributions of the cycles among the color
+# blocks, weighted by multinomial coefficients.
+def _cycle_items(alpha: Shape) -> list[tuple[int, int, int]]:
+    """Distinct (length, color, multiplicity) triples of a class label."""
+    items = []
+    for color, comp in enumerate(alpha):
+        mult: dict[int, int] = {}
+        for part in comp:
+            mult[part] = mult.get(part, 0) + 1
+        for length, m in sorted(mult.items(), reverse=True):
+            items.append((length, color, m))
+    return items
+
+
+@lru_cache(maxsize=None)
+def _wreath_character_raw(lam: Shape, alpha: Shape) -> tuple:
+    """Exponent -> integer weight table for the induced-character sum.
+
+    The sum runs over ordered set partitions of [n] into color blocks of
+    sizes |lam^(i)| that are unions of cycles; grouping by which cycles land
+    in which block turns it into a sum over distributions of the cycle
+    multiset, weighted by multinomial coefficients.  Each distribution
+    contributes zeta_r^(sum_i i*colors_i) times the product of
+    symmetric-group characters on the per-block cycle lengths.
+    """
+    r = len(lam)
+    capacities = [sum(comp) for comp in lam]
+    items = _cycle_items(alpha)
+    weights: dict[int, int] = {}
+    lengths: list[list[int]] = [[] for _ in range(r)]
+    color_sums = [0] * r
+
+    def push(i, length, color, count):
+        capacities[i] -= count * length
+        lengths[i].extend([length] * count)
+        color_sums[i] += count * color
+
+    def pop(i, length, color, count):
+        capacities[i] += count * length
+        if count:
+            del lengths[i][-count:]
+        color_sums[i] -= count * color
+
+    def terminal(coefficient):
+        factor = coefficient
+        for i in range(r):
+            factor *= sym_character(
+                tuple(lam[i]), tuple(sorted(lengths[i], reverse=True))
+            )
+            if factor == 0:
+                return
+        exponent = sum(i * color_sums[i] for i in range(r)) % r
+        weights[exponent] = weights.get(exponent, 0) + factor
+
+    def assign(idx, coefficient):
+        if idx == len(items):
+            terminal(coefficient)
+            return
+        length, color, mult = items[idx]
+
+        def distribute(i, left, coeff):
+            if i == r - 1:
+                if left * length > capacities[i]:
+                    return
+                push(i, length, color, left)
+                assign(idx + 1, coeff)
+                pop(i, length, color, left)
+                return
+            for take in range(min(left, capacities[i] // length) + 1):
+                push(i, length, color, take)
+                distribute(i + 1, left - take, coeff * comb(left, take))
+                pop(i, length, color, take)
+
+        distribute(0, mult, coefficient)
+
+    assign(0, 1)
+    return tuple(sorted(weights.items()))
+
+
+@pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3), (6, 3)])
+def test_wreath_matches_induced_sum(r, n):
+    shapes = enumerate_shapes(r, n)
+    for lam in shapes:
+        for alpha in shapes:
+            expected = Cyclotomic.zero(r)
+            for exponent, weight in _wreath_character_raw(lam, alpha):
+                expected = expected + Cyclotomic.root(r, exponent) * weight
+            value = wreath_character(lam, alpha)
+            assert value == expected, (lam, alpha)
+            if r == 1:
+                assert value == Cyclotomic.from_rational(
+                    sym_character(lam[0], alpha[0])
+                )
 
 
 def test_delta1_values_on_split_classes():

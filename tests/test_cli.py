@@ -321,6 +321,16 @@ PINNED_OUTPUT = [
         ["classes", "list", "--json", "--r", "4", "--p", "2", "--n", "4"],
         "6b4143fb84124aee53c28f71da1713dd7100d31587b1e6588ddbe98eae0fa71f",
     ),
+    (
+        # split rows over classes with several cycles
+        ["chartable", "--json", "--r", "4", "--p", "2", "--q", "1", "--n", "4"],
+        "7b8039d04d73663b66cc1ba3b3508600fdde79b4c8716fcd7e26b8100ef76252",
+    ),
+    (
+        # values in Q(zeta_6)
+        ["chartable", "--json", "--r", "6", "--p", "1", "--q", "1", "--n", "3"],
+        "13e329ca8c441ff1ad999b36d7a3d742247f714b965fd1c6d93aa3fdbfb55f66",
+    ),
 ]
 
 

@@ -40,7 +40,7 @@ from gelfand.colored import (
     subgroup_elements,
 )
 from gelfand.cyclotomic import Cyclotomic
-from gelfand.errors import ResourceLimitError
+from gelfand.errors import InconsistencyError, ResourceLimitError
 from gelfand.model import (
     ModelBasis,
     _action_scalar,
@@ -322,7 +322,6 @@ def _count_inner_products(monkeypatch):
         return inner_product(f, g)
 
     monkeypatch.setattr(gelfand.characters, "inner_product", counted)
-    monkeypatch.setattr(gelfand.model, "inner_product", counted)
     return calls
 
 
@@ -340,6 +339,15 @@ def test_uncertified_table_projects_every_block(monkeypatch):
     del calls[:]
     assert gelfand_check(2, 2, 1, 4)[1]
     assert len(calls) == len(table)
+
+
+def test_gelfand_check_rejects_negative_multiplicity(monkeypatch):
+    # minus one row is a virtual character: its projection finds
+    # multiplicity -1, which the full-module check must not report as a count
+    negated = character_table(2, 2, 1, 4)[0][1].scale(-1)
+    monkeypatch.setattr(gelfand.model, "model_character", lambda basis, which: negated)
+    with pytest.raises(InconsistencyError, match="negative multiplicity"):
+        gelfand_check(2, 2, 1, 4)
 
 
 def test_predicted_labels_shape():
