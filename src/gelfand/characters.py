@@ -5,11 +5,14 @@ rule: each cycle of length k and color c, longest first, removes a border
 strip of length k from some component i of the label, with sign
 (-1)^leg and factor zeta_r^(i*c).  Border strips are found on beta
 numbers by one cached helper shared with the symmetric-group case
-(r = 1); the memo over remaining shapes lives for one evaluation only,
-so no cache grows with the table.  For split representations of
-G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the two constituents are
-reconstructed from the restricted character and the closed-form difference
-character.
+(r = 1).  Values are summed as integer histograms of exponents of
+zeta_r.  The character table is built column by column: one memo over
+remaining shapes serves every row at one class and lives for that
+column only, so no cache grows with the table.  For split
+representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the
+two constituents are built as integer 2*chi, the restricted character
+plus or minus the closed-form difference character, and halved once.
+The table holds one value object per distinct value.
 
 All values are exact elements of Q(zeta_r).
 """
@@ -71,24 +74,33 @@ def sym_character(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     )
 
 
-def _wreath_histogram(lam: Shape, cycles) -> list[int]:
-    """Integer coefficients of zeta_r^0, ..., zeta_r^(r-1) in chi_lam at a
-    class with the given (length, color) cycles, longest first.
+def _cycles(alpha: Shape) -> list[tuple[int, int]]:
+    """(length, color) cycles of a class label, longest first."""
+    return sorted(
+        ((k, color) for color, comp in enumerate(alpha) for k in comp), reverse=True
+    )
+
+
+def _wreath_histograms(lams, cycles) -> list[tuple[int, ...]]:
+    """Integer coefficients of zeta_r^0, ..., zeta_r^(r-1) in chi_lam, for
+    every lam in lams, at a class with the given (length, color) cycles,
+    longest first.  Every lam must have the size of the class.
 
     Each cycle (k, c) removes a border strip of length k from some
-    component i of lam, with sign (-1)^leg and factor zeta_r^(i*c).  The
-    memo keys on the remaining shape alone, since its size fixes how many
-    cycles are left, and it lives for this call only.
+    component i of lam, with sign (-1)^leg and factor zeta_r^(i*c).  One
+    memo serves all of lams: it keys on the remaining shape alone, since
+    its size fixes how many cycles are left, and it lives for this call
+    only.  The histograms are tuples, shared between equal subproblems.
     """
-    r = len(lam)
-    memo: dict = {}
+    if not lams:
+        return []
+    r = len(lams[0])
+    memo: dict = {((),) * r: (1,) + (0,) * (r - 1)}
 
     def walk(shape, j):
-        if j == len(cycles):
-            return [1] + [0] * (r - 1)
         histogram = memo.get(shape)
         if histogram is None:
-            histogram = [0] * r
+            acc = [0] * r
             k, color = cycles[j]
             for i, part in enumerate(shape):
                 shift = i * color
@@ -97,11 +109,11 @@ def _wreath_histogram(lam: Shape, cycles) -> list[int]:
                     sign = -1 if leg % 2 else 1
                     for e, weight in enumerate(rest):
                         if weight:
-                            histogram[(e + shift) % r] += sign * weight
-            memo[shape] = histogram
+                            acc[(e + shift) % r] += sign * weight
+            histogram = memo[shape] = tuple(acc)
         return histogram
 
-    return walk(lam, 0)
+    return [walk(tuple(lam), 0) for lam in lams]
 
 
 def wreath_character(lam: Shape, alpha) -> Cyclotomic:
@@ -116,10 +128,18 @@ def wreath_character(lam: Shape, alpha) -> Cyclotomic:
         raise ValueError("label and class need the same number of colors")
     if shape_size(lam) != shape_size(alpha):
         raise ValueError("label and class sizes differ")
-    cycles = sorted(
-        ((k, color) for color, comp in enumerate(alpha) for k in comp), reverse=True
+    return Cyclotomic(len(lam), _wreath_histograms([lam], _cycles(alpha))[0])
+
+
+def _halved_class(alpha: Shape) -> tuple[Shape, int]:
+    """For a split class alpha of G(r,p,n): the class of G(r/2, n/2) whose
+    wreath characters give the difference character there, and 2 to the
+    number of its cycles.  Its components are the even-color components
+    of alpha with every cycle halved."""
+    halved = tuple(
+        tuple(part // 2 for part in alpha[2 * i]) for i in range(len(alpha) // 2)
     )
-    return Cyclotomic(len(lam), _wreath_histogram(tuple(lam), cycles))
+    return halved, 2 ** sum(len(comp) for comp in halved)
 
 
 def delta1(mu: Shape, label: ConjugacyClass) -> Cyclotomic:
@@ -130,19 +150,15 @@ def delta1(mu: Shape, label: ConjugacyClass) -> Cyclotomic:
     r = label.r
     if r % 2 != 0:
         raise ValueError("difference character needs an even color count")
-    rp = r // 2
-    if len(mu) != rp:
+    if len(mu) != r // 2:
         raise ValueError("expected one component per even color")
     if 2 * shape_size(mu) != label.n:
         raise ValueError("shape size must be half the class size")
     if label.half is None:
         return Cyclotomic.zero(r)
-    halved = tuple(
-        tuple(part // 2 for part in label.alpha[2 * i]) for i in range(rp)
-    )
-    cycle_count = sum(len(comp) for comp in halved)
+    halved, scale = _halved_class(label.alpha)
     value = wreath_character(tuple(mu), halved).to_order(r)
-    return value * ((-1) ** label.half * 2**cycle_count)
+    return value * ((-1) ** label.half * scale)
 
 
 class ClassFunction(Immutable):
@@ -248,7 +264,8 @@ def character_table(r: int, p: int, q: int, n: int):
 
     Returns a list of (IrreducibleLabel, ClassFunction) pairs.  Unsplit
     rows restrict a wreath-product character; split rows are cut out of the
-    restriction with the difference character.
+    restriction with the difference character.  Cells are computed one
+    class shape at a time, for all rows at once.
     """
     check_group_parameters(r, p, q, n)
     if gcd(p, n) not in (1, 2):
@@ -256,27 +273,57 @@ def character_table(r: int, p: int, q: int, n: int):
             "character tables require GCD(p,n) in {1,2}, got %d" % gcd(p, n)
         )
     classes = enumerate_classes(r, p, n)
-    rows = []
-    for orbit in enumerate_orbits(r, n, p, q):
-        lam = orbit.canonical
-        restricted = {c: wreath_character(lam, c.alpha) for c in classes}
-        if orbit.m == 1:
-            rows.append(
-                (
-                    IrreducibleLabel(orbit, 0),
-                    ClassFunction(r, p, n, restricted),
-                )
+    orbits = enumerate_orbits(r, n, p, q)
+    lams = [orbit.canonical for orbit in orbits]
+    split = [i for i, orbit in enumerate(orbits) if orbit.m > 1]
+    mus = [lams[i][: r // 2] for i in split]
+    labels = [IrreducibleLabel(orbit, j) for orbit in orbits for j in range(orbit.m)]
+    cells = [[None] * len(classes) for _ in labels]
+    values: dict = {}  # (histogram, denominator) -> one shared value
+
+    def value(histogram, denominator) -> Cyclotomic:
+        key = (histogram, denominator)
+        found = values.get(key)
+        if found is None:
+            found = values[key] = Cyclotomic(
+                r, [Fraction(x, denominator) for x in histogram]
             )
-            continue
-        mu = lam[: r // 2]
-        difference = {c: delta1(mu, c) for c in classes}
-        half = Fraction(1, 2)
-        for j in (0, 1):
-            sign = (-1) ** j
-            values = {
-                c: (restricted[c] + difference[c] * sign) * half for c in classes
-            }
-            rows.append((IrreducibleLabel(orbit, j), ClassFunction(r, p, n, values)))
+        return found
+
+    columns: dict = {}
+    for k, c in enumerate(classes):
+        columns.setdefault(c.alpha, []).append((k, c.half))
+    zero = (0,) * r
+    for alpha, column in columns.items():
+        histograms = _wreath_histograms(lams, _cycles(alpha))
+        # the difference character times 2, exponents doubled from r/2 to r
+        deltas = [zero] * len(orbits)
+        if column[0][1] is not None:
+            halved, scale = _halved_class(alpha)
+            for i, small in zip(split, _wreath_histograms(mus, _cycles(halved))):
+                delta = [0] * r
+                delta[::2] = [scale * x for x in small]
+                deltas[i] = delta
+        for k, half in column:
+            sign = -1 if half else 1
+            row = 0
+            for orbit, histogram, delta in zip(orbits, histograms, deltas):
+                if orbit.m == 1:
+                    cells[row][k] = value(histogram, 1)
+                    row += 1
+                    continue
+                # the split rows are 2 chi = restricted +- delta
+                cells[row][k] = value(
+                    tuple(a + sign * b for a, b in zip(histogram, delta)), 2
+                )
+                cells[row + 1][k] = value(
+                    tuple(a - sign * b for a, b in zip(histogram, delta)), 2
+                )
+                row += 2
+    rows = [
+        (label, ClassFunction(r, p, n, dict(zip(classes, row))))
+        for label, row in zip(labels, cells)
+    ]
     expected_squares = r**n * factorial(n) // (p * q)
     total_squares = 0
     for label, row in rows:

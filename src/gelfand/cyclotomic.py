@@ -179,13 +179,14 @@ class Cyclotomic(Immutable):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self._common(other)
+        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,14 +4,18 @@ classes, table orthogonality, and exact decomposition."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gelfand.characters import (
     ClassFunction,
     IrreducibleLabel,
+    _cycles,
     _residue_field,
+    _wreath_histograms,
     character_table,
     decompose,
     delta1,
@@ -25,7 +29,13 @@ from gelfand.characters import (
 from gelfand.classes import ConjugacyClass, class_size, enumerate_classes
 from gelfand.cyclotomic import Cyclotomic
 from gelfand.errors import InconsistencyError, UnsupportedGroupError
-from gelfand.shapes import Shape, count_standard, enumerate_shapes, partitions
+from gelfand.shapes import (
+    Shape,
+    count_standard,
+    enumerate_orbits,
+    enumerate_shapes,
+    partitions,
+)
 
 
 def test_sym_trivial_and_sign_rows():
@@ -191,6 +201,81 @@ def test_wreath_matches_induced_sum(r, n):
                 assert value == Cyclotomic.from_rational(
                     sym_character(lam[0], alpha[0])
                 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.sampled_from([(2, 5), (3, 4), (4, 3), (6, 3)]), data=st.data())
+def test_shared_memo_is_order_free(group, data):
+    r, n = group
+    shapes = enumerate_shapes(r, n)
+    size = data.draw(st.integers(1, len(shapes)))
+    subset = data.draw(st.permutations(shapes))[:size]
+    alpha = data.draw(st.sampled_from(shapes))
+    cycles = _cycles(alpha)
+    together = _wreath_histograms(subset, cycles)
+    assert together == _wreath_histograms(subset, cycles)
+    for lam, histogram in zip(subset, together):
+        assert histogram == _wreath_histograms([lam], cycles)[0]
+        expected = [0] * r
+        for exponent, weight in _wreath_character_raw(lam, alpha):
+            expected[exponent] += weight
+        assert histogram == tuple(expected), (lam, alpha)
+
+
+# The per-cell table builder that character_table replaced, kept verbatim
+# as the reference.
+def _reference_character_table(r, p, q, n):
+    classes = enumerate_classes(r, p, n)
+    rows = []
+    for orbit in enumerate_orbits(r, n, p, q):
+        lam = orbit.canonical
+        restricted = {c: wreath_character(lam, c.alpha) for c in classes}
+        if orbit.m == 1:
+            rows.append(
+                (
+                    IrreducibleLabel(orbit, 0),
+                    ClassFunction(r, p, n, restricted),
+                )
+            )
+            continue
+        mu = lam[: r // 2]
+        difference = {c: delta1(mu, c) for c in classes}
+        half = Fraction(1, 2)
+        for j in (0, 1):
+            sign = (-1) ** j
+            values = {
+                c: (restricted[c] + difference[c] * sign) * half for c in classes
+            }
+            rows.append((IrreducibleLabel(orbit, j), ClassFunction(r, p, n, values)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        (3, 1, 1, 4),
+        (4, 1, 1, 4),
+        (4, 2, 1, 4),
+        (4, 2, 2, 4),
+        (6, 2, 1, 3),
+        (6, 2, 1, 2),
+        (2, 2, 1, 6),
+        (8, 2, 1, 2),
+        (4, 4, 1, 2),
+    ],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_table_matches_per_cell_reference(group):
+    expected = _reference_character_table(*group)
+    first = character_table(*group)
+    second = character_table(*group)
+    for table in (first, second):
+        assert [label for label, _ in table] == [label for label, _ in expected]
+        for (_, row), (_, reference) in zip(table, expected):
+            assert list(row.values) == list(reference.values)
+            assert row == reference
+    _, p, _, n = group
+    assert any(label.orbit.m == 2 for label, _ in expected) == (gcd(p, n) == 2)
 
 
 def test_delta1_values_on_split_classes():

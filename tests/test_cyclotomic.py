@@ -141,6 +141,9 @@ def test_ring_axioms(first, second, third):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    assert a - b == a + (-b)
+    assert 1 - a == Cyclotomic.one() + (-a)
 
 
 @settings(max_examples=40, deadline=None)
