@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 
 from .classes import ConjugacyClass, class_size, enumerate_classes
 from .colored import check_group_parameters
@@ -60,18 +60,12 @@ def _strips(partition: tuple[int, ...], k: int) -> tuple:
     return tuple(result)
 
 
-@lru_cache(maxsize=None)
 def sym_character(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
-    """Symmetric-group character value chi_lam(alpha), by removing a border
-    strip of the largest cycle length at each step."""
+    """Symmetric-group character value chi_lam(alpha): the one-color case
+    of the wreath rule, a border strip removed per cycle of alpha."""
     if sum(lam) != sum(alpha):
         raise ValueError("partition sizes differ")
-    if not alpha:
-        return 1
-    return sum(
-        (-1) ** leg * sym_character(smaller, alpha[1:])
-        for smaller, leg in _strips(lam, alpha[0])
-    )
+    return _wreath_histograms([(lam,)], [(k, 0) for k in alpha])[0][0]
 
 
 def _cycles(alpha: Shape) -> list[tuple[int, int]]:
@@ -359,15 +353,21 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     return total / order
 
 
-def _is_sum_of_rows(f: ClassFunction, rows) -> bool:
-    """Whether f equals the sum of the given rows, class by class, in exact
-    arithmetic."""
-    for row in rows:
+def _reassembles(f: ClassFunction, terms) -> bool:
+    """Whether f equals the sum of row * multiplicity over the (row,
+    multiplicity) terms, class by class.  Compares power-basis coefficients
+    at the lcm of the orders at each class, building no value."""
+    for row, _ in terms:
         f._same_group(row)
     for label, value in f.values.items():
-        for row in rows:
-            value = value - row.values[label]
-        if not value.is_zero():
+        cells = [(row.values[label], mult) for row, mult in terms]
+        order = lcm(value.order, *(cell.order for cell, _ in cells))
+        acc = list(value.to_order(order).coeffs)
+        for cell, mult in cells:
+            for i, c in enumerate(cell.to_order(order).coeffs):
+                if c:
+                    acc[i] -= mult * c
+        if any(acc):
             return False
     return True
 
@@ -444,20 +444,22 @@ def decompose(
     expected only for a table that rows_independent has certified.
     Otherwise every row is projected out by an inner product, with
     exactness checks: every multiplicity must be a nonnegative integer and
-    the weighted rows must reassemble f.
+    the weighted rows must reassemble f.  Both paths share one reassembly
+    check, which compares power-basis coefficients class by class and does
+    no Cyclotomic arithmetic.
     """
     if expected is not None:
         rows = dict(table)
         expected = set(expected)
-        if expected <= rows.keys() and _is_sum_of_rows(
-            f, [rows[label] for label in expected]
+        if expected <= rows.keys() and _reassembles(
+            f, [(rows[label], 1) for label in expected]
         ):
             return sorted(
                 ((label, 1) for label in expected),
                 key=lambda pair: pair[0].sort_key(),
             )
     result = []
-    reassembled = None
+    terms = []
     for label, row in table:
         product = inner_product(f, row)
         if not product.is_integer():
@@ -469,17 +471,8 @@ def decompose(
             raise InconsistencyError("negative multiplicity %d for %s" % (mult, label))
         if mult:
             result.append((label, mult))
-            contribution = row.scale(mult)
-            reassembled = (
-                contribution if reassembled is None else reassembled + contribution
-            )
-    zero = ClassFunction(
-        f.r, f.p, f.n,
-        {c: Cyclotomic.zero(f.r) for c in enumerate_classes(f.r, f.p, f.n)},
-    )
-    if reassembled is None:
-        reassembled = zero
-    if not all((f.values[c] - reassembled.values[c]).is_zero() for c in f.values):
+            terms.append((row, mult))
+    if not _reassembles(f, terms):
         raise InconsistencyError("multiplicities do not reassemble the character")
     result.sort(key=lambda pair: pair[0].sort_key())
     return result

@@ -95,6 +95,17 @@ def _root_power_coeffs(r: int, k: int) -> tuple[Fraction, ...]:
     return tuple(_reduce_mod_phi([Fraction(0)] * k + [Fraction(1)], r))
 
 
+def _substitute(coeffs, order: int, k: int) -> list[Fraction]:
+    """Power-basis coordinates in Q(zeta_order) of sum_j coeffs[j] *
+    zeta_order^(j*k)."""
+    acc = [Fraction(0)] * euler_phi(order)
+    for j, a in enumerate(coeffs):
+        if a:
+            for i, c in enumerate(_root_power_coeffs(order, j * k)):
+                acc[i] += a * c
+    return acc
+
+
 class Cyclotomic(Immutable):
     """An element of Q(zeta_order), immutable."""
 
@@ -141,13 +152,9 @@ class Cyclotomic(Immutable):
             return self
         if new_order % self.order != 0:
             raise ValueError("can only lift to a multiple of the current order")
-        step = new_order // self.order
-        acc = [Fraction(0)] * euler_phi(new_order)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                for i, c in enumerate(_root_power_coeffs(new_order, k * step)):
-                    acc[i] += a * c
-        return Cyclotomic(new_order, acc)
+        return Cyclotomic(
+            new_order, _substitute(self.coeffs, new_order, new_order // self.order)
+        )
 
     def _common(self, other: "Cyclotomic"):
         m = lcm(self.order, other.order)
@@ -234,12 +241,7 @@ class Cyclotomic(Immutable):
             return self
         if gcd(k, r) != 1:
             raise ValueError("automorphism exponent must be coprime to the order")
-        acc = [Fraction(0)] * len(self.coeffs)
-        for j, a in enumerate(self.coeffs):
-            if a:
-                for i, c in enumerate(_root_power_coeffs(r, j * k)):
-                    acc[i] += a * c
-        return Cyclotomic(r, acc)
+        return Cyclotomic(r, _substitute(self.coeffs, r, k))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^(-1)."""

@@ -105,7 +105,7 @@ class ModelBasis(Immutable):
     and M1.
     """
 
-    __slots__ = ("r", "p", "q", "n", "elements", "types", "blocks", "_index")
+    __slots__ = ("r", "p", "q", "n", "elements", "types", "blocks")
 
     def __init__(self, r, p, q, n, max_order: int = ENUMERATION_GUARD) -> None:
         check_group_parameters(r, p, q, n)
@@ -124,9 +124,6 @@ class ModelBasis(Immutable):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "types", tuple(ctype for ctype, _ in classes))
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self, "_index", {v: i for i, v in enumerate(elements)}
-        )
 
     @property
     def dimension(self) -> int:
@@ -215,11 +212,12 @@ def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
     gl = _lift(g)
     if gl.color_sum() % basis.p != 0:
         raise ValueError("element does not lie in the acting group")
+    index = {v: i for i, v in enumerate(basis.elements)}
     perm = []
     scalars = []
     for v in basis.elements:
         image = projective_conjugate(gl, v)
-        perm.append(basis._index[image])
+        perm.append(index[image])
         # the scalar rides on the image so that composition follows the
         # left-first group product; at fixed points image == v, so traces
         # are unaffected
@@ -365,6 +363,21 @@ class VerificationReport(Immutable):
         }
 
 
+def _basis_and_table(r: int, p: int, q: int, n: int, max_order: int):
+    """The model basis and the character table of G(r,p,q,n), after the
+    global anchor: the basis size equals the sum of the irreducible
+    degrees."""
+    basis = ModelBasis(r, p, q, n, max_order)
+    table = character_table(r, p, q, n)
+    degree_sum = sum(label_degree(label) for label, _ in table)
+    if degree_sum != basis.dimension:
+        raise InconsistencyError(
+            "model dimension %d differs from total degree %d"
+            % (basis.dimension, degree_sum)
+        )
+    return basis, table
+
+
 def verify_class_decomposition(
     r: int,
     p: int,
@@ -382,14 +395,7 @@ def verify_class_decomposition(
     sum of the irreducible degrees, and block sizes sum to the dimension.
     Pass only=type to restrict the report to one block.
     """
-    basis = ModelBasis(r, p, q, n, max_order)
-    table = character_table(r, p, q, n)
-    degree_sum = sum(label_degree(label) for label, _ in table)
-    if degree_sum != basis.dimension:
-        raise InconsistencyError(
-            "model dimension %d differs from total degree %d"
-            % (basis.dimension, degree_sum)
-        )
+    basis, table = _basis_and_table(r, p, q, n, max_order)
     if only is None:
         targets = basis.types
     elif only in basis.blocks:
@@ -416,11 +422,11 @@ def gelfand_check(
 
     Returns (rows, passed): rows lists (IrreducibleLabel, multiplicity) for
     every table row, and passed is True exactly when every multiplicity is 1.
-    The full character goes through decompose, expecting every row once
-    when the rows are certified independent.
+    Checks the same dimension anchor as verify_class_decomposition.  The
+    full character goes through decompose, expecting every row once when
+    the rows are certified independent.
     """
-    basis = ModelBasis(r, p, q, n, max_order)
-    table = character_table(r, p, q, n)
+    basis, table = _basis_and_table(r, p, q, n, max_order)
     labels = [label for label, _ in table]
     mults = dict(
         decompose(

@@ -242,7 +242,7 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
             % (STANDARD_ENUMERATION_LIMIT, n)
         )
 
-    def corners(rows_filled, comp_shape):
+    def corners(rows_filled):
         """Row indices where the next-smaller entry could be removed: cells
         (i, rows_filled[i]-1) with rows_filled[i] > rows_filled[i+1]."""
         out = []
@@ -260,7 +260,7 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
             yield tuple(() for _ in shape)
             return
         for c, prof in enumerate(profiles):
-            for i in corners(prof, shape[c]):
+            for i in corners(prof):
                 new_prof = list(prof)
                 new_prof[i] -= 1
                 new_profiles = profiles[:c] + (tuple(new_prof),) + profiles[c + 1 :]

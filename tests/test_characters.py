@@ -2,6 +2,7 @@
 group values, wreath characters, the difference character on split
 classes, table orthogonality, and exact decomposition."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -14,6 +15,7 @@ from gelfand.characters import (
     ClassFunction,
     IrreducibleLabel,
     _cycles,
+    _reassembles,
     _residue_field,
     _wreath_histograms,
     character_table,
@@ -27,7 +29,7 @@ from gelfand.characters import (
     wreath_character,
 )
 from gelfand.classes import ConjugacyClass, class_size, enumerate_classes
-from gelfand.cyclotomic import Cyclotomic
+from gelfand.cyclotomic import Cyclotomic, zeta
 from gelfand.errors import InconsistencyError, UnsupportedGroupError
 from gelfand.shapes import (
     Shape,
@@ -430,3 +432,68 @@ def test_decompose_shortcut_agrees_with_projection():
     # a wrong guess falls back to projection and still finds all three
     assert decompose(f, table, labels[:2]) == expected
     assert decompose(f + table[7][1], table, labels) == decompose(f + table[7][1], table)
+
+
+def _is_sum_of_rows(f: ClassFunction, rows) -> bool:
+    """Whether f equals the sum of the given rows, class by class, in exact
+    arithmetic."""
+    for row in rows:
+        f._same_group(row)
+    for label, value in f.values.items():
+        for row in rows:
+            value = value - row.values[label]
+        if not value.is_zero():
+            return False
+    return True
+
+
+def _agree(f, terms) -> bool:
+    """The reassembly check, asserted equal to the per-value reference
+    given each row repeated by its multiplicity."""
+    repeated = [row for row, mult in terms for _ in range(mult)]
+    answer = _reassembles(f, terms)
+    assert answer == _is_sum_of_rows(f, repeated)
+    return answer
+
+
+def _weighted_sum(terms) -> ClassFunction:
+    total = terms[0][0].scale(terms[0][1])
+    for row, mult in terms[1:]:
+        total = total + row.scale(mult)
+    return total
+
+
+@pytest.mark.parametrize(
+    "group", [(2, 2, 1, 4), (4, 1, 2, 4), (6, 2, 1, 2)],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_reassembly_agrees_with_per_value_reference(group):
+    r = group[0]
+    rows = [row for _, row in character_table(*group)]
+    rng = random.Random(r)
+    for _ in range(4):
+        chosen = rng.sample(rows, rng.randint(2, min(5, len(rows))))
+        terms = [(row, rng.randint(1, 3)) for row in chosen]
+        f = _weighted_sum(terms)
+        assert _agree(f, terms)
+        assert not _agree(f, terms[1:])
+        doubled = [(terms[0][0], 2 * terms[0][1])] + terms[1:]
+        assert not _agree(f, doubled)
+        values = dict(f.values)
+        cell = rng.choice(list(values))
+        values[cell] = values[cell] + zeta(r)
+        assert not _agree(ClassFunction(r, group[1], group[3], values), terms)
+    trivial = next(
+        row for row in rows if all(v == 1 for v in row.values.values())
+    )
+    rational = ClassFunction(
+        r, group[1], group[3],
+        {c: Cyclotomic.from_rational(1) for c in trivial.values},
+    )
+    assert _agree(rational, [(trivial, 1)])
+    assert not _agree(rational, [(trivial, 2)])
+    assert not _agree(rational, [(rows[-1], 1)])
+    twisted = rows[-1].scale(zeta(2 * r))
+    assert _agree(twisted, [(rows[-1].scale(zeta(2 * r)), 1)])
+    assert not _agree(twisted, [(rows[-1], 1)])
+    assert _agree(rows[-1].scale(Cyclotomic.one(2 * r)), [(rows[-1], 1)])

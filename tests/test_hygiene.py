@@ -1,6 +1,7 @@
 """Static hygiene checks, standard library only: no module of the
-package imports a name it never uses, and every name the package
-exports resolves."""
+package imports a name it never uses, no function of it takes a
+parameter it never reads (dunder methods aside), and every name the
+package exports resolves."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,36 @@ def test_every_import_is_used(path):
 def test_all_names_resolve():
     missing = [name for name in gelfand.__all__ if not hasattr(gelfand, name)]
     assert not missing
+
+
+def unread_parameters(tree):
+    """(function name, parameter) for every parameter of a non-dunder
+    function that no statement of its body reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [
+            arg.arg
+            for arg in args.posonlyargs + args.args + args.kwonlyargs
+            + [args.vararg, args.kwarg]
+            if arg is not None
+        ]
+        read = {
+            name.id
+            for statement in node.body
+            for name in ast.walk(statement)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        for param in params:
+            if param not in read:
+                yield node.name, param
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = sorted(unread_parameters(tree))
+    assert not unread, "%s has unread parameters: %s" % (path.name, unread)

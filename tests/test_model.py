@@ -350,6 +350,29 @@ def test_gelfand_check_rejects_negative_multiplicity(monkeypatch):
         gelfand_check(2, 2, 1, 4)
 
 
+def test_both_drivers_check_the_dimension_anchor(monkeypatch):
+    monkeypatch.setattr(gelfand.model, "label_degree", lambda label: 1)
+    with pytest.raises(InconsistencyError, match="model dimension"):
+        verify_class_decomposition(2, 2, 1, 4)
+    with pytest.raises(InconsistencyError, match="model dimension"):
+        gelfand_check(2, 2, 1, 4)
+
+
+def test_certified_verification_does_no_cyclotomic_arithmetic(monkeypatch):
+    calls = []
+    for attr in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        original = getattr(Cyclotomic, attr)
+
+        def counted(*args, _original=original):
+            calls.append(None)
+            return _original(*args)
+
+        monkeypatch.setattr(Cyclotomic, attr, counted)
+    assert verify_class_decomposition(2, 2, 1, 4).passed
+    assert gelfand_check(2, 2, 1, 4)[1]
+    assert len(calls) == 0
+
+
 def test_predicted_labels_shape():
     sym = InvolutionClassType.parse("sym[4,0;0,0]", 2, 2)
     labels = predicted_labels(sym)
