@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, isqrt, lcm
 
 from .classes import ConjugacyClass, class_size, enumerate_classes
-from .colored import check_group_parameters
+from .colored import check_supported_group
 from .cyclotomic import Cyclotomic
-from .errors import InconsistencyError, UnsupportedGroupError
+from .errors import InconsistencyError
 from .immutable import Immutable
 from .shapes import (
     Shape,
@@ -261,11 +261,7 @@ def character_table(r: int, p: int, q: int, n: int):
     restriction with the difference character.  Cells are computed one
     class shape at a time, for all rows at once.
     """
-    check_group_parameters(r, p, q, n)
-    if gcd(p, n) not in (1, 2):
-        raise UnsupportedGroupError(
-            "character tables require GCD(p,n) in {1,2}, got %d" % gcd(p, n)
-        )
+    check_supported_group(r, p, q, n)
     classes = enumerate_classes(r, p, n)
     orbits = enumerate_orbits(r, n, p, q)
     lams = [orbit.canonical for orbit in orbits]
@@ -485,9 +481,5 @@ def label_degree(label: IrreducibleLabel) -> int:
 def irreducible_count(r: int, p: int, q: int, n: int) -> int:
     """Number of irreducible representations of G(r,p,q,n), counted from
     labels alone."""
-    check_group_parameters(r, p, q, n)
-    if gcd(p, n) not in (1, 2):
-        raise UnsupportedGroupError(
-            "irreducible counting requires GCD(p,n) in {1,2}"
-        )
+    check_supported_group(r, p, q, n)
     return sum(orbit.m for orbit in enumerate_orbits(r, n, p, q))

@@ -24,9 +24,10 @@ from .colored import (
     ProjectiveElement,
     antisymmetric_elements,
     check_group_parameters,
+    check_supported_group,
     symmetric_elements,
 )
-from .errors import InconsistencyError, ResourceLimitError, UnsupportedGroupError
+from .errors import InconsistencyError, ResourceLimitError
 from .immutable import Immutable
 from .shapes import (
     Shape,
@@ -160,11 +161,7 @@ def class_size(label: ConjugacyClass) -> int:
 @lru_cache(maxsize=None)
 def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
     """All classes of G(r,p,n), deterministically ordered."""
-    check_group_parameters(r, p, 1, n)
-    if gcd(p, n) not in (1, 2):
-        raise UnsupportedGroupError(
-            "class enumeration requires GCD(p,n) in {1,2}, got %d" % gcd(p, n)
-        )
+    check_supported_group(r, p, 1, n)
     out = []
     for alpha in enumerate_shapes(r, n):
         if label_color(alpha) % p != 0:
@@ -321,39 +318,36 @@ class InvolutionClassType(Immutable):
 
 
 def involution_type(v) -> InvolutionClassType:
-    """Type of an absolute involution (plain element or scalar coset)."""
-    if isinstance(v, ProjectiveElement):
-        shift_order = v.q
-        lift = v.rep
-        if not v.is_absolute_involution():
-            raise ValueError("element is not an absolute involution")
-    else:
-        shift_order = 1
-        lift = v
-        if not v.is_absolute_involution():
-            raise ValueError("element is not an absolute involution")
-    kind = lift.symmetry_kind()
+    """Type of an absolute involution (plain element or scalar coset).
+
+    Any other input raises ValueError("element is not an absolute
+    involution").  Fixed points and the 2-cycles (j, k) with j < k are
+    counted by the color at j.
+    """
+    if not v.is_absolute_involution():
+        raise ValueError("element is not an absolute involution")
+    shift_order, lift = (v.q, v.rep) if isinstance(v, ProjectiveElement) else (1, v)
     r = lift.r
-    if kind == "symmetric":
+    window = list(enumerate(zip(lift.perm, lift.colors), 1))
+    if lift.symmetry_kind() == "symmetric":
         fixed = [0] * r
         pair = [0] * r
-        for cyc in lift.cycles():
-            if len(cyc) == 1:
-                fixed[cyc[0][1]] += 1
-            else:
-                pair[cyc[0][1]] += 1
+        for j, (k, z) in window:
+            if j == k:
+                fixed[z] += 1
+            elif j < k:
+                pair[z] += 1
         return InvolutionClassType(
             r, shift_order, "sym", fixed=tuple(fixed), pair=tuple(pair)
         )
-    if kind == "antisymmetric":
-        twist = [0] * (r // 2)
-        for cyc in lift.cycles():
-            twist[cyc[0][1] % (r // 2)] += 1
-        return InvolutionClassType(r, shift_order, "asym", twist=tuple(twist))
-    raise ValueError("element is neither symmetric nor antisymmetric")
+    twist = [0] * (r // 2)
+    for j, (k, z) in window:
+        if j < k:
+            twist[z % (r // 2)] += 1
+    return InvolutionClassType(r, shift_order, "asym", twist=tuple(twist))
 
 
-def predicted_shapes(ctype: InvolutionClassType, p: int | None = None) -> frozenset:
+def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
     """Shape orbits predicted to index the irreducible constituents of the
     submodule spanned by one S_n-class of absolute involutions.
 
@@ -361,10 +355,7 @@ def predicted_shapes(ctype: InvolutionClassType, p: int | None = None) -> frozen
     exactly f_i columns of odd length.  Antisymmetric type: all orbits of
     half-turn-symmetric shapes whose component i has t_i boxes.
     """
-    if p is None:
-        p = ctype.shift_order
-    elif p != ctype.shift_order:
-        raise ValueError("orbit parameter must match the type's shift order")
+    p = ctype.shift_order
     if ctype.kind == "sym":
         choices = [
             [lam for lam in partitions(f_i + 2 * q_i) if odd_columns(lam) == f_i]
@@ -395,13 +386,14 @@ def enumerate_involution_classes(
             "involution enumeration needs r^n*n! <= %d (got %d)"
             % (max_order, r**n * factorial(n))
         )
-    lifts = [w for w in symmetric_elements(r, n) if w.color_sum() % q == 0]
+    lifts = symmetric_elements(r, n)
     if p % 2 == 0:
-        lifts += [w for w in antisymmetric_elements(r, n) if w.color_sum() % q == 0]
-    cosets = sorted(set(ProjectiveElement(w, p) for w in lifts))
+        lifts += antisymmetric_elements(r, n)
+    # one least lift per coset: its first color is below r/p; the lists are
+    # sorted and no type mixes the two kinds, so every bucket fills in order
     buckets: dict[InvolutionClassType, list[ProjectiveElement]] = {}
-    for v in cosets:
-        buckets.setdefault(involution_type(v), []).append(v)
-    return tuple(
-        (ctype, tuple(sorted(buckets[ctype]))) for ctype in sorted(buckets)
-    )
+    for w in lifts:
+        if w.colors[0] < r // p and w.color_sum() % q == 0:
+            v = ProjectiveElement(w, p)
+            buckets.setdefault(involution_type(v), []).append(v)
+    return tuple((ctype, tuple(buckets[ctype])) for ctype in sorted(buckets))

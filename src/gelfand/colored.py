@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from math import gcd
 
 from .errors import UnsupportedGroupError
 from .immutable import Immutable
@@ -194,8 +195,11 @@ class ColoredPermutation(Immutable):
     # -- symmetry predicates ------------------------------------------------------
 
     def is_absolute_involution(self) -> bool:
-        """True iff g * conj(g) is the identity."""
-        return (self * self.color_conjugate()).is_identity()
+        """True iff g * conj(g) is the identity, that is, iff g is symmetric:
+        g unitary makes g * conj(g) a scalar c exactly when g^T = c * g, and
+        transposing twice gives c^2 = 1, so c = 1 (g symmetric) or c = -1
+        (g antisymmetric)."""
+        return self.symmetry_kind() == "symmetric"
 
     def symmetry_kind(self) -> str:
         """'symmetric', 'antisymmetric', or 'neither', as a matrix.
@@ -324,6 +328,16 @@ def check_group_parameters(r: int, p: int, q: int, n: int) -> None:
         )
 
 
+def check_supported_group(r: int, p: int, q: int, n: int) -> None:
+    """Validate G(r,p,q,n) and refuse GCD(p,n) > 2, where the class and
+    character theory used here does not apply."""
+    check_group_parameters(r, p, q, n)
+    if gcd(p, n) not in (1, 2):
+        raise UnsupportedGroupError(
+            "only groups with GCD(p,n) in {1,2} are supported, got %d" % gcd(p, n)
+        )
+
+
 def group_order(r: int, p: int, q: int, n: int) -> int:
     """|G(r,p,q,n)| = r^n n! / (p q)."""
     check_group_parameters(r, p, q, n)
@@ -337,7 +351,9 @@ class ProjectiveElement(Immutable):
     """An element of a quotient G(r,p,q,n) = G(r,p,n)/C_q.
 
     Stored as the lift whose color word is lexicographically least in the
-    scalar orbit, together with the scalar order q.
+    scalar orbit, together with the scalar order q.  The lifts' first
+    colors differ by multiples of r/q, so the least lift is the one whose
+    first color is below r/q; a lift that is already least is kept as is.
     """
 
     __slots__ = ("q", "rep")
@@ -346,13 +362,11 @@ class ProjectiveElement(Immutable):
         if q < 1 or lift.r % q != 0:
             raise ValueError("scalar order q must divide r")
         step = lift.r // q
-        best = min(
-            tuple((z + k * step) % lift.r for z in lift.colors) for k in range(q)
-        )
+        shift = lift.colors[0] // step * step if lift.colors else 0
+        if shift:
+            lift = ColoredPermutation(lift.r, lift.perm, (z - shift for z in lift.colors))
         object.__setattr__(self, "q", q)
-        object.__setattr__(
-            self, "rep", ColoredPermutation(lift.r, lift.perm, best)
-        )
+        object.__setattr__(self, "rep", lift)
 
     @property
     def r(self) -> int:
@@ -391,11 +405,11 @@ class ProjectiveElement(Immutable):
         return self.rep.is_scalar() and self.rep.scalar_exponent() % (self.r // self.q) == 0
 
     def is_absolute_involution(self) -> bool:
-        """True iff v * conj(v) is trivial in the quotient."""
-        prod = self.rep * self.rep.color_conjugate()
-        if not prod.is_scalar():
-            return False
-        return prod.scalar_exponent() % (self.r // self.q) == 0
+        """True iff v * conj(v) is trivial in the quotient.  The product is
+        the same for every lift and, as a scalar, is 1 (symmetric lift) or
+        -1 (antisymmetric lift); -1 lies in C_q exactly when q is even."""
+        kind = self.rep.symmetry_kind()
+        return kind == "symmetric" or (kind == "antisymmetric" and self.q % 2 == 0)
 
     def symmetry_kind(self) -> str:
         return self.rep.symmetry_kind()
@@ -470,7 +484,8 @@ def _involution_supports(n: int):
 def symmetric_elements(r: int, n: int):
     """All symmetric elements of G(r,n): g equal to its transpose.
 
-    These are exactly the absolute involutions of G(r,n).
+    These are exactly the absolute involutions of G(r,n).  The list comes
+    back sorted.
     """
     from itertools import product
 
@@ -494,7 +509,7 @@ def antisymmetric_elements(r: int, n: int):
     """All antisymmetric elements of G(r,n): g equal to minus its transpose.
 
     Empty unless r is even and n is even; every cycle is a 2-cycle whose
-    colors differ by r/2.
+    colors differ by r/2.  The list comes back sorted.
     """
     from itertools import product
 

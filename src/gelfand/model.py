@@ -33,7 +33,7 @@ from .classes import (
 from .colored import (
     ColoredPermutation,
     ProjectiveElement,
-    check_group_parameters,
+    check_supported_group,
     projective_conjugate,
 )
 from .cyclotomic import Cyclotomic
@@ -108,7 +108,6 @@ class ModelBasis(Immutable):
     __slots__ = ("r", "p", "q", "n", "elements", "types", "blocks")
 
     def __init__(self, r, p, q, n, max_order: int = ENUMERATION_GUARD) -> None:
-        check_group_parameters(r, p, q, n)
         classes = enumerate_involution_classes(r, p, q, n, max_order)
         elements = []
         blocks = {}
@@ -366,7 +365,8 @@ class VerificationReport(Immutable):
 def _basis_and_table(r: int, p: int, q: int, n: int, max_order: int):
     """The model basis and the character table of G(r,p,q,n), after the
     global anchor: the basis size equals the sum of the irreducible
-    degrees."""
+    degrees.  Unsupported groups are refused before the basis is built."""
+    check_supported_group(r, p, q, n)
     basis = ModelBasis(r, p, q, n, max_order)
     table = character_table(r, p, q, n)
     degree_sum = sum(label_degree(label) for label, _ in table)

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from gelfand.classes import (
+    ENUMERATION_GUARD,
     ConjugacyClass,
     InvolutionClassType,
     class_of,
@@ -22,8 +23,11 @@ from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
     all_elements,
+    antisymmetric_elements,
+    check_group_parameters,
     parse_window,
     subgroup_elements,
+    symmetric_elements,
 )
 from gelfand.errors import ResourceLimitError, UnsupportedGroupError
 from gelfand.shapes import ShapeOrbit
@@ -252,3 +256,87 @@ def test_antisymmetric_cosets_single_class():
 def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_involution_classes(6, 6, 1, 14)
+
+
+def _reference_involution_type(v) -> InvolutionClassType:
+    """Type of an absolute involution (plain element or scalar coset)."""
+    if isinstance(v, ProjectiveElement):
+        shift_order = v.q
+        lift = v.rep
+        if not v.is_absolute_involution():
+            raise ValueError("element is not an absolute involution")
+    else:
+        shift_order = 1
+        lift = v
+        if not v.is_absolute_involution():
+            raise ValueError("element is not an absolute involution")
+    kind = lift.symmetry_kind()
+    r = lift.r
+    if kind == "symmetric":
+        fixed = [0] * r
+        pair = [0] * r
+        for cyc in lift.cycles():
+            if len(cyc) == 1:
+                fixed[cyc[0][1]] += 1
+            else:
+                pair[cyc[0][1]] += 1
+        return InvolutionClassType(
+            r, shift_order, "sym", fixed=tuple(fixed), pair=tuple(pair)
+        )
+    if kind == "antisymmetric":
+        twist = [0] * (r // 2)
+        for cyc in lift.cycles():
+            twist[cyc[0][1] % (r // 2)] += 1
+        return InvolutionClassType(r, shift_order, "asym", twist=tuple(twist))
+    raise ValueError("element is neither symmetric nor antisymmetric")
+
+
+def _reference_enumerate_involution_classes(
+    r: int, p: int, q: int, n: int, max_order: int = ENUMERATION_GUARD
+) -> tuple[tuple[InvolutionClassType, tuple[ProjectiveElement, ...]], ...]:
+    """The enumerator before one least lift per coset: every lift, a set
+    dedupe and three sorts.  Verbatim but for calling the matching copy
+    of involution_type."""
+    check_group_parameters(r, p, q, n)
+    if r**n * factorial(n) > max_order:
+        raise ResourceLimitError(
+            "involution enumeration needs r^n*n! <= %d (got %d)"
+            % (max_order, r**n * factorial(n))
+        )
+    lifts = [w for w in symmetric_elements(r, n) if w.color_sum() % q == 0]
+    if p % 2 == 0:
+        lifts += [w for w in antisymmetric_elements(r, n) if w.color_sum() % q == 0]
+    cosets = sorted(set(ProjectiveElement(w, p) for w in lifts))
+    buckets: dict[InvolutionClassType, list[ProjectiveElement]] = {}
+    for v in cosets:
+        buckets.setdefault(_reference_involution_type(v), []).append(v)
+    return tuple(
+        (ctype, tuple(sorted(buckets[ctype]))) for ctype in sorted(buckets)
+    )
+
+
+ENUMERATOR_PANEL = [
+    (r, p, q, n)
+    for r in range(1, 7)
+    for n in range(1, 5)
+    for p in range(1, r + 1)
+    for q in range(1, r + 1)
+    if r % p == 0 and r % q == 0 and (r * n) % (p * q) == 0
+] + [(2, 2, 1, 6), (3, 1, 1, 5)]
+
+
+def test_enumerator_panel_covers_quotients_and_antisymmetric_blocks():
+    assert any(p > 1 for _, p, _, _ in ENUMERATOR_PANEL)
+    assert any(q > 1 for _, _, q, _ in ENUMERATOR_PANEL)
+    assert any(
+        ctype.kind == "asym" for ctype, _ in enumerate_involution_classes(2, 2, 1, 6)
+    )
+
+
+@pytest.mark.parametrize("r, p, q, n", ENUMERATOR_PANEL)
+def test_enumerator_matches_reference(r, p, q, n):
+    ours = enumerate_involution_classes(r, p, q, n)
+    reference = _reference_enumerate_involution_classes(r, p, q, n)
+    assert [ctype for ctype, _ in ours] == [ctype for ctype, _ in reference]
+    for (_, members), (_, expected) in zip(ours, reference):
+        assert [v._key() for v in members] == [v._key() for v in expected]

@@ -161,6 +161,44 @@ def test_absolute_involutions_strict():
     assert coset.is_absolute_involution()
 
 
+def _reference_plain_is_absolute_involution(self):
+    """True iff g * conj(g) is the identity."""
+    return (self * self.color_conjugate()).is_identity()
+
+
+def _reference_coset_is_absolute_involution(self):
+    """True iff v * conj(v) is trivial in the quotient."""
+    prod = self.rep * self.rep.color_conjugate()
+    if not prod.is_scalar():
+        return False
+    return prod.scalar_exponent() % (self.r // self.q) == 0
+
+
+@pytest.mark.parametrize("r, n", [(1, 4), (2, 4), (3, 3), (4, 3), (6, 2), (6, 3)])
+def test_absolute_involution_rule_matches_product(r, n):
+    # the symmetry-kind rule against the product definition, on every
+    # element, plain and as a coset of every scalar subgroup C_q
+    divisors = [q for q in range(1, r + 1) if r % q == 0]
+    for g in all_elements(r, n):
+        assert g.is_absolute_involution() == _reference_plain_is_absolute_involution(g)
+        for q in divisors:
+            v = ProjectiveElement(g, q)
+            assert v.is_absolute_involution() == _reference_coset_is_absolute_involution(v)
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (4, 2), (6, 2)])
+def test_projective_keeps_the_least_lift(r, n):
+    for g in all_elements(r, n):
+        for q in (q for q in range(1, r + 1) if r % q == 0):
+            step = r // q
+            least = min(
+                tuple((z + k * step) % r for z in g.colors) for k in range(q)
+            )
+            v = ProjectiveElement(g, q)
+            assert v.rep.colors == least and v.rep.perm == g.perm
+            assert (v.rep is g) == (g.colors == least)
+
+
 def test_projective_canonical_representative():
     g = parse_window("[2^1,1^0]", 2)
     h = parse_window("[2^0,1^1]", 2)  # g times the scalar -1

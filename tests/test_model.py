@@ -40,7 +40,11 @@ from gelfand.colored import (
     subgroup_elements,
 )
 from gelfand.cyclotomic import Cyclotomic
-from gelfand.errors import InconsistencyError, ResourceLimitError
+from gelfand.errors import (
+    InconsistencyError,
+    ResourceLimitError,
+    UnsupportedGroupError,
+)
 from gelfand.model import (
     ModelBasis,
     _action_scalar,
@@ -371,6 +375,45 @@ def test_certified_verification_does_no_cyclotomic_arithmetic(monkeypatch):
     assert verify_class_decomposition(2, 2, 1, 4).passed
     assert gelfand_check(2, 2, 1, 4)[1]
     assert len(calls) == 0
+
+
+def test_unsupported_group_refused_before_the_basis(monkeypatch):
+    # GCD(3,6) = 3: both drivers must refuse before enumerating 2,808 cosets
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built for an unsupported group")
+
+    monkeypatch.setattr(gelfand.model, "ModelBasis", refuse)
+    with pytest.raises(UnsupportedGroupError):
+        verify_class_decomposition(3, 3, 1, 6)
+    with pytest.raises(UnsupportedGroupError):
+        gelfand_check(3, 3, 1, 6)
+
+
+def _count_constructions(monkeypatch):
+    calls = []
+    original = ColoredPermutation.__init__
+
+    def counted(self, *args):
+        calls.append(None)
+        original(self, *args)
+
+    monkeypatch.setattr(ColoredPermutation, "__init__", counted)
+    return calls
+
+
+def test_basis_builds_one_permutation_per_lift(monkeypatch):
+    calls = _count_constructions(monkeypatch)
+    # p = 1: every symmetric lift is its own coset, kept as is
+    basis = ModelBasis(2, 1, 1, 5)
+    assert len(calls) == basis.dimension
+    # p = 2: each coset has two lifts, and only the least is kept
+    calls.clear()
+    basis = ModelBasis(2, 2, 1, 4)
+    assert len(calls) <= 2 * basis.dimension
+    least = parse_window("[2^1,1^2,3^0]", 4)
+    calls.clear()
+    assert ProjectiveElement(least, 2).rep is least
+    assert not calls
 
 
 def test_predicted_labels_shape():
