@@ -317,19 +317,23 @@ class InvolutionClassType(Immutable):
         raise ValueError("unrecognized type text: %r" % text)
 
 
-def involution_type(v) -> InvolutionClassType:
-    """Type of an absolute involution (plain element or scalar coset).
+def _raw_type(v) -> tuple:
+    """InvolutionClassType arguments (r, shift_order, kind, fixed, pair,
+    twist) of an absolute involution, before canonicalization.
 
     Any other input raises ValueError("element is not an absolute
-    involution").  Fixed points and the 2-cycles (j, k) with j < k are
-    counted by the color at j.
+    involution").  A lift's symmetry kind decides it by the rule of
+    ProjectiveElement.is_absolute_involution: symmetric, or antisymmetric
+    with even shift order; a plain element has shift order 1.  Fixed points
+    and the 2-cycles (j, k) with j < k are counted by the color at j.
     """
-    if not v.is_absolute_involution():
-        raise ValueError("element is not an absolute involution")
     shift_order, lift = (v.q, v.rep) if isinstance(v, ProjectiveElement) else (1, v)
+    kind = lift.symmetry_kind()
+    if not (kind == "symmetric" or (kind == "antisymmetric" and shift_order % 2 == 0)):
+        raise ValueError("element is not an absolute involution")
     r = lift.r
     window = list(enumerate(zip(lift.perm, lift.colors), 1))
-    if lift.symmetry_kind() == "symmetric":
+    if kind == "symmetric":
         fixed = [0] * r
         pair = [0] * r
         for j, (k, z) in window:
@@ -337,14 +341,21 @@ def involution_type(v) -> InvolutionClassType:
                 fixed[z] += 1
             elif j < k:
                 pair[z] += 1
-        return InvolutionClassType(
-            r, shift_order, "sym", fixed=tuple(fixed), pair=tuple(pair)
-        )
+        return (r, shift_order, "sym", tuple(fixed), tuple(pair), None)
     twist = [0] * (r // 2)
     for j, (k, z) in window:
         if j < k:
             twist[z % (r // 2)] += 1
-    return InvolutionClassType(r, shift_order, "asym", twist=tuple(twist))
+    return (r, shift_order, "asym", None, None, tuple(twist))
+
+
+def involution_type(v) -> InvolutionClassType:
+    """Type of an absolute involution (plain element or scalar coset).
+
+    Any other input raises ValueError("element is not an absolute
+    involution").
+    """
+    return InvolutionClassType(*_raw_type(v))
 
 
 def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
@@ -390,10 +401,16 @@ def enumerate_involution_classes(
     if p % 2 == 0:
         lifts += antisymmetric_elements(r, n)
     # one least lift per coset: its first color is below r/p; the lists are
-    # sorted and no type mixes the two kinds, so every bucket fills in order
+    # sorted and no type mixes the two kinds, so every bucket fills in order.
+    # Many raw count vectors name one type, and each is canonicalized once.
+    types: dict[tuple, InvolutionClassType] = {}
     buckets: dict[InvolutionClassType, list[ProjectiveElement]] = {}
     for w in lifts:
         if w.colors[0] < r // p and w.color_sum() % q == 0:
             v = ProjectiveElement(w, p)
-            buckets.setdefault(involution_type(v), []).append(v)
+            raw = _raw_type(v)
+            ctype = types.get(raw)
+            if ctype is None:
+                ctype = types[raw] = InvolutionClassType(*raw)
+            buckets.setdefault(ctype, []).append(v)
     return tuple((ctype, tuple(buckets[ctype])) for ctype in sorted(buckets))

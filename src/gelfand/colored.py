@@ -500,9 +500,9 @@ def symmetric_elements(r: int, n: int):
             for (a, b), z in zip(pairs, assignment[len(fixed) :]):
                 perm[a - 1], perm[b - 1] = b, a
                 colors[a - 1] = colors[b - 1] = z
-            out.append(ColoredPermutation(r, perm, colors))
+            out.append((tuple(perm), tuple(colors)))
     out.sort()
-    return out
+    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
 
 
 def antisymmetric_elements(r: int, n: int):
@@ -527,6 +527,6 @@ def antisymmetric_elements(r: int, n: int):
                 perm[a - 1], perm[b - 1] = b, a
                 colors[a - 1] = z
                 colors[b - 1] = (z + half) % r
-            out.append(ColoredPermutation(r, perm, colors))
+            out.append((tuple(perm), tuple(colors)))
     out.sort()
-    return out
+    return [ColoredPermutation(r, perm, colors) for perm, colors in out]

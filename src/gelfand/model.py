@@ -8,11 +8,20 @@ statistic (antisymmetric case).  Everything here is verified rather than
 assumed: each block's trace must equal the sum of the table rows
 combinatorially predicted for it, once the rows are certified independent,
 and is otherwise decomposed against the table by exact inner products.
+
+A block's trace at g counts the basis vectors that |g| fixes by
+conjugation.  model_character buckets the vectors by their perm, keeps
+only the perms that commute with |g|, and in each such bucket finds the
+colorings that conjugation shifts by one scalar (by zero unless the basis
+is a quotient): it either generates every such coloring and looks it up,
+or tests each member, whichever is fewer steps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
 from .characters import (
     ClassFunction,
@@ -226,66 +235,154 @@ def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
 
 @lru_cache(maxsize=None)
 def _class_window(label):
-    """Raw window of the canonical representative g of a class: its
-    1-based perm, its 0-based perm, its colors, its color sum, and the
-    0-based position |g|^{-1}(1)."""
+    """Per-class constants of model_character, from the canonical
+    representative g of the class.
+
+    Returns g's 1-based perm, its 0-based perm G as a taker (see _taker),
+    the pairs (j, z) of g's nonzero colors z at 0-based positions j, its
+    color sum, the 0-based position |g|^{-1}(1), the cycles of G, the
+    shifts, and the number of candidate colorings.
+
+    The cycles of G start at their least positions, so the first passes
+    through position 0.  The shifts are the multiples s of step = r/p with
+    len(cycle)*s = 0 mod r on every cycle.  A least-lift coloring with
+    colors[G(j)] = colors[j] + s is fixed by s and its color at each
+    cycle's start, which is below step on the first cycle: that makes
+    len(shifts)*step*r^(cycles - 1) candidates.
+    """
     g = normal_element(label)
+    r = label.r
+    step = r // label.p
+    g0 = tuple(s - 1 for s in g.perm)
+    n = len(g0)
+    cycles = []
+    seen = [False] * n
+    for start in range(n):
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = g0[j]
+        if cycle:
+            cycles.append(tuple(cycle))
+    shifts = tuple(
+        s
+        for s in range(0, r, step)
+        if all(len(cycle) * s % r == 0 for cycle in cycles)
+    )
     return (
         g.perm,
-        tuple(s - 1 for s in g.perm),
-        g.colors,
+        _taker(g0),
+        tuple((j, z) for j, z in enumerate(g.colors) if z),
         g.color_sum(),
         g.perm.index(1),
+        tuple(cycles),
+        shifts,
+        len(shifts) * step * r ** (len(cycles) - 1),
     )
+
+
+def _taker(perm0):
+    """The map t -> (t[perm0[0]], t[perm0[1]], ...) for a 0-based perm;
+    itemgetter alone returns a bare item, not a 1-tuple, when n = 1."""
+    return itemgetter(*perm0) if len(perm0) > 1 else tuple
+
+
+def _fixed_up_to_shift(colors, moved, r: int, step: int) -> bool:
+    """moved[j] = colors[j] + s for every j, for one multiple s of step."""
+    shift = (moved[0] - colors[0]) % r
+    return shift % step == 0 and all(
+        (m - c) % r == shift for m, c in zip(moved, colors)
+    )
+
+
+def _shifted_colorings(cycles, shifts, r: int, step: int):
+    """Every least-lift coloring with colors[G(j)] = colors[j] + s on the
+    cycles of G, for each shift s."""
+    n = sum(len(cycle) for cycle in cycles)
+    out = []
+    for s in shifts:
+        for starts in product(range(step), *[range(r)] * (len(cycles) - 1)):
+            colors = [0] * n
+            for c, cycle in zip(starts, cycles):
+                for k, j in enumerate(cycle):
+                    colors[j] = (c + k * s) % r
+            out.append(tuple(colors))
+    return out
 
 
 def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> ClassFunction:
     """Trace of the action on a block, as a class function on G(r,p,n).
 
-    Evaluated at the canonical representative of each class; only basis
-    vectors fixed by the conjugation contribute their scalar.  The loop
-    runs on raw windows and sums the scalars, which are signed r-th roots
-    of unity, as a histogram of exponents per class.
+    Evaluated at the canonical representative g of each class; only basis
+    vectors fixed by the conjugation contribute their scalar, a signed
+    r-th root of unity, summed as a histogram of exponents per class.
+
+    The scope's vectors are bucketed by their perm, each mapping its least
+    lift's colors to its kind.  |g| v |g|^{-1} has the perm of v exactly
+    when |v| commutes with |g|, which is tested once per (class, perm); the
+    sign of a symmetric vector depends only on the perms, so it is found
+    there too.  In a commuting bucket the fixed vectors are the colorings
+    with colors[G(j)] = colors[j] + s for one of the class's shifts s (see
+    _class_window; s = 0 unless the basis is a quotient).  The bucket finds
+    them by whichever way takes fewer steps: look up every such coloring,
+    or test each member.
     """
     indices = basis.scope_indices(scope)
     r = basis.r
+    step = r // basis.p
     labels = enumerate_classes(r, basis.p, basis.n)
     windows = [_class_window(label) for label in labels]
     # every basis coset has scalar order basis.p, so a lift changes the
     # colors by a multiple of step
-    step = r // basis.p
-    for _, _, _, color_sum, _ in windows:
+    for _, _, _, color_sum, *_ in windows:
         if color_sum * step % r:
             raise ValueError("pairing is not lift-independent for this pair")
-    histograms = [[0] * r for _ in labels]
+    # perm -> (its taker, {least lift's colors: symmetric?})
+    buckets: dict[tuple, tuple] = {}
     for i in indices:
         rep = basis.elements[i].rep
         kind = rep.symmetry_kind()
         if kind == "neither":
             raise ValueError("basis element is neither symmetric nor antisymmetric")
-        v_perm, v_colors = rep.perm, rep.colors
-        for histogram, (g_perm, g0, g_colors, _, source) in zip(histograms, windows):
-            # |g| v |g|^{-1} has color v_colors[g0[j]] at j, and the same
-            # perm as v when v_perm[g0[j]] == |g|(v_perm[j]) for every j; it
-            # is v in the quotient when, besides, its colors differ from
-            # v's by one multiple of step
-            shift = (v_colors[g0[0]] - v_colors[0]) % r
-            if shift % step:
+        if rep.perm not in buckets:
+            buckets[rep.perm] = (_taker([k - 1 for k in rep.perm]), {})
+        buckets[rep.perm][1][rep.colors] = kind == "symmetric"
+    histograms = []
+    for g_perm, take, g_nonzero, _, source, cycles, shifts, candidates in windows:
+        histogram = [0] * r
+        colorings = None
+        for v_perm, (v_take, members) in buckets.items():
+            # |v|(|g|(j)) == |g|(|v|(j)) for every j
+            if take(v_perm) != v_take(g_perm):
                 continue
-            for j, c in enumerate(g0):
-                if (
-                    v_perm[c] != g_perm[v_perm[j] - 1]
-                    or (v_colors[c] - v_colors[j]) % r != shift
-                ):
-                    break
+            sign = -1 if _inversions(g_perm, v_perm) % 2 else 1
+            if candidates < len(members):
+                if colorings is None:
+                    colorings = _shifted_colorings(cycles, shifts, r, step)
+                fixed = [
+                    (colors, members[colors])
+                    for colors in colorings
+                    if colors in members
+                ]
             else:
-                exponent = _pairing(g_colors, v_colors, r)
-                if kind == "symmetric":
-                    histogram[exponent] += -1 if _inversions(g_perm, v_perm) % 2 else 1
+                # |g| v |g|^{-1} has the colors take(colors): colors[G(j)] at j
+                fixed = [
+                    (colors, symmetric)
+                    for colors, symmetric in members.items()
+                    if (moved := take(colors)) == colors
+                    or (len(shifts) > 1 and _fixed_up_to_shift(colors, moved, r, step))
+                ]
+            for colors, symmetric in fixed:
+                exponent = sum(z * colors[j] for j, z in g_nonzero) % r
+                if symmetric:
+                    histogram[exponent] += sign
                 else:
                     if twist:
-                        exponent = (exponent + _transfer(v_colors, source, r)) % r
+                        exponent = (exponent + _transfer(colors, source, r)) % r
                     histogram[exponent] += 1
+        histograms.append(histogram)
     return ClassFunction(
         r,
         basis.p,

@@ -258,6 +258,18 @@ def test_enumeration_guard():
         enumerate_involution_classes(6, 6, 1, 14)
 
 
+def test_involution_type_refuses_exactly_the_non_absolute_involutions():
+    # plain elements and cosets of scalar order 1 and 2: antisymmetric
+    # lifts are absolute involutions only in the latter
+    for w in all_elements(2, 4):
+        for v in (w, ProjectiveElement(w, 1), ProjectiveElement(w, 2)):
+            if v.is_absolute_involution():
+                assert involution_type(v) == _reference_involution_type(v)
+            else:
+                with pytest.raises(ValueError, match="not an absolute involution"):
+                    involution_type(v)
+
+
 def _reference_involution_type(v) -> InvolutionClassType:
     """Type of an absolute involution (plain element or scalar coset)."""
     if isinstance(v, ProjectiveElement):

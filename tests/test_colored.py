@@ -141,6 +141,11 @@ def test_element_enumeration_counts():
     assert len(antisymmetric_elements(2, 4)) == 12
     assert antisymmetric_elements(2, 3) == []
     assert antisymmetric_elements(3, 4) == []
+    # sorted as ColoredPermutation compares, which the involution
+    # enumerator relies on
+    for r, n in [(2, 4), (3, 3), (4, 4)]:
+        assert symmetric_elements(r, n) == sorted(symmetric_elements(r, n))
+        assert antisymmetric_elements(r, n) == sorted(antisymmetric_elements(r, n))
 
 
 def test_symmetry_kinds():

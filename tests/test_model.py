@@ -1,9 +1,10 @@
 """The involution module: pairing and statistics, the monomial action as
 a genuine homomorphism, block structure, character verification against
-the object-level trace loop and the projection path, and the
-antisymmetric cycle-pairing machinery."""
+the object-level trace loop, the former window loop and the projection
+path, and the antisymmetric cycle-pairing machinery."""
 
 import random
+from types import SimpleNamespace
 from math import factorial
 
 import pytest
@@ -35,6 +36,7 @@ from gelfand.cli import main
 from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
+    absolute_conjugate,
     parse_window,
     projective_conjugate,
     subgroup_elements,
@@ -48,6 +50,9 @@ from gelfand.errors import (
 from gelfand.model import (
     ModelBasis,
     _action_scalar,
+    _inversions,
+    _pairing,
+    _transfer,
     a_statistic,
     gelfand_check,
     inv_statistic,
@@ -225,8 +230,9 @@ def _reference_model_character(basis, scope="all", twist=True):
 
 # basis-group flags r p q n, as on the command line; the acting group,
 # which ModelBasis takes, exchanges p and q.  They cover r = 2, 3, 4, 6,
-# quotients (q > 1) and split classes.
+# quotients (q > 1), split classes and n = 1.
 DIFFERENTIAL_BASES = [
+    (4, 1, 2, 1),
     (2, 1, 2, 4),
     (2, 2, 1, 4),
     (3, 1, 1, 3),
@@ -244,14 +250,144 @@ def _basis_from_flags(r, p, q, n):
     return ModelBasis(r, q, p, n)
 
 
+def _reference_window(label):
+    """Raw window of the canonical representative g of a class: its
+    1-based perm, its 0-based perm, its colors, its color sum, and the
+    0-based position |g|^{-1}(1)."""
+    g = normal_element(label)
+    return (
+        g.perm,
+        tuple(s - 1 for s in g.perm),
+        g.colors,
+        g.color_sum(),
+        g.perm.index(1),
+    )
+
+
+def _window_model_character(basis, scope="all", twist=True):
+    """The block trace as one loop over every (basis vector, class) pair
+    on raw windows, testing each pair for a fixed point.  Verbatim the
+    implementation before fixed points were generated, but for calling
+    _reference_window."""
+    indices = basis.scope_indices(scope)
+    r = basis.r
+    labels = enumerate_classes(r, basis.p, basis.n)
+    windows = [_reference_window(label) for label in labels]
+    # every basis coset has scalar order basis.p, so a lift changes the
+    # colors by a multiple of step
+    step = r // basis.p
+    for _, _, _, color_sum, _ in windows:
+        if color_sum * step % r:
+            raise ValueError("pairing is not lift-independent for this pair")
+    histograms = [[0] * r for _ in labels]
+    for i in indices:
+        rep = basis.elements[i].rep
+        kind = rep.symmetry_kind()
+        if kind == "neither":
+            raise ValueError("basis element is neither symmetric nor antisymmetric")
+        v_perm, v_colors = rep.perm, rep.colors
+        for histogram, (g_perm, g0, g_colors, _, source) in zip(histograms, windows):
+            # |g| v |g|^{-1} has color v_colors[g0[j]] at j, and the same
+            # perm as v when v_perm[g0[j]] == |g|(v_perm[j]) for every j; it
+            # is v in the quotient when, besides, its colors differ from
+            # v's by one multiple of step
+            shift = (v_colors[g0[0]] - v_colors[0]) % r
+            if shift % step:
+                continue
+            for j, c in enumerate(g0):
+                if (
+                    v_perm[c] != g_perm[v_perm[j] - 1]
+                    or (v_colors[c] - v_colors[j]) % r != shift
+                ):
+                    break
+            else:
+                exponent = _pairing(g_colors, v_colors, r)
+                if kind == "symmetric":
+                    histogram[exponent] += -1 if _inversions(g_perm, v_perm) % 2 else 1
+                else:
+                    if twist:
+                        exponent = (exponent + _transfer(v_colors, source, r)) % r
+                    histogram[exponent] += 1
+    return ClassFunction(
+        r,
+        basis.p,
+        basis.n,
+        {
+            label: Cyclotomic(r, histogram)
+            for label, histogram in zip(labels, histograms)
+        },
+    )
+
+
 @pytest.mark.parametrize("flags", DIFFERENTIAL_BASES, ids=_flags_id)
 def test_model_character_matches_reference(flags):
     basis = _basis_from_flags(*flags)
     for scope in basis.types + ("all", "M0", "M1"):
         for twist in (True, False):
-            assert model_character(basis, scope, twist) == (
-                _reference_model_character(basis, scope, twist)
-            ), (scope, twist)
+            ours = model_character(basis, scope, twist)
+            assert ours == _reference_model_character(basis, scope, twist), (
+                scope,
+                twist,
+            )
+            assert ours == _window_model_character(basis, scope, twist), (
+                scope,
+                twist,
+            )
+
+
+def _shifted_fixed_points(basis):
+    """(class, coset) pairs where the class representative fixes the coset
+    but not its lift: fixed only up to a nonzero scalar shift."""
+    out = []
+    for label in enumerate_classes(basis.r, basis.p, basis.n):
+        g = normal_element(label)
+        for v in basis.elements:
+            if projective_conjugate(g, v) == v and absolute_conjugate(g, v.rep) != v.rep:
+                out.append((label, v))
+    return out
+
+
+# at n = 1 the only cycle is a fixed point, which admits no shift
+@pytest.mark.parametrize(
+    "flags",
+    [flags for flags in DIFFERENTIAL_BASES if flags[2] > 1 and flags[3] > 1],
+    ids=_flags_id,
+)
+def test_quotient_bases_have_shifted_fixed_points(flags):
+    assert _shifted_fixed_points(_basis_from_flags(*flags))
+
+
+# 2 1 1 7 and 3 1 1 5 are the gelfand-check panel; 4 1 2 4, a decompose
+# panel group, is a quotient basis with fixed cosets up to a nonzero shift
+@pytest.mark.parametrize(
+    "flags, blocks",
+    [((2, 1, 1, 7), False), ((3, 1, 1, 5), False), ((4, 1, 2, 4), True)],
+    ids=lambda value: _flags_id(value) if isinstance(value, tuple) else None,
+)
+def test_model_character_matches_window_loop(flags, blocks):
+    basis = _basis_from_flags(*flags)
+    for scope in (basis.types + ("all",)) if blocks else ("all",):
+        assert model_character(basis, scope) == _window_model_character(basis, scope)
+
+
+def test_model_character_rejects_lift_dependent_pairing(monkeypatch):
+    # G(2,1,4) has classes of odd color sum; their pairing with a coset of
+    # scalar order 2 depends on the lift
+    basis = ModelBasis(2, 2, 1, 4)
+    monkeypatch.setattr(
+        gelfand.model, "enumerate_classes", lambda r, p, n: enumerate_classes(r, 1, n)
+    )
+    with pytest.raises(ValueError, match="pairing is not lift-independent"):
+        model_character(basis)
+
+
+def test_model_character_rejects_non_involution():
+    three_cycle = ProjectiveElement(parse_window("[2^0,3^0,1^0]", 2), 1)
+    basis = SimpleNamespace(
+        r=2, p=1, n=3, elements=(three_cycle,), scope_indices=lambda scope: (0,)
+    )
+    with pytest.raises(ValueError, match="neither symmetric nor antisymmetric"):
+        model_character(basis)
 
 
 @pytest.mark.parametrize("flags", DIFFERENTIAL_BASES, ids=_flags_id)
