@@ -42,7 +42,6 @@ from .rs import rs
 from .shapes import multitableau_json, multitableau_shape, shape_str
 
 SCHEMA = 1
-DEFAULT_MAX_ORDER = ENUMERATION_GUARD
 
 
 def _resolve_max_order(args) -> int:
@@ -54,7 +53,7 @@ def _resolve_max_order(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError("MODEL_MAX_ORDER must be an integer, got %r" % env)
-    return DEFAULT_MAX_ORDER
+    return ENUMERATION_GUARD
 
 
 def _emit_rows(rows) -> None:
@@ -291,7 +290,7 @@ def _add_guard_flag(cmd) -> None:
         type=int,
         default=None,
         help="enumeration guard on r^n*n! (default %d, or MODEL_MAX_ORDER)"
-        % DEFAULT_MAX_ORDER,
+        % ENUMERATION_GUARD,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InconsistencyError
 from .immutable import Immutable
@@ -30,10 +30,6 @@ def euler_phi(r: int) -> int:
         if gcd(k, r) == 1:
             count += 1
     return count
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:

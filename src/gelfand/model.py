@@ -10,16 +10,17 @@ combinatorially predicted for it, once the rows are certified independent,
 and is otherwise decomposed against the table by exact inner products.
 
 A block's trace at g counts the basis vectors that |g| fixes by
-conjugation.  model_character buckets the vectors by their perm, keeps
-only the perms that commute with |g|, and in each such bucket finds the
-colorings that conjugation shifts by one scalar (by zero unless the basis
-is a quotient): it either generates every such coloring and looks it up,
-or tests each member, whichever is fewer steps.
+conjugation.  One sweep traces every block a verification needs: it
+buckets the vectors of all scopes by their perm, builds each class window
+once, keeps only the perms that commute with |g|, and in each such bucket
+finds the colorings that conjugation shifts by one scalar (by zero unless
+the basis is a quotient) by generating and looking up every such coloring,
+or by testing each member, whichever is fewer steps.  Each fixed point
+counts toward its own scope; model_character is the one-scope sweep.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
@@ -233,9 +234,8 @@ def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
     return ModelAction(basis, perm, scalars)
 
 
-@lru_cache(maxsize=None)
 def _class_window(label):
-    """Per-class constants of model_character, from the canonical
+    """Per-class constants of the block sweep, from the canonical
     representative g of the class.
 
     Returns g's 1-based perm, its 0-based perm G as a taker (see _taker),
@@ -313,23 +313,28 @@ def _shifted_colorings(cycles, shifts, r: int, step: int):
 
 
 def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> ClassFunction:
-    """Trace of the action on a block, as a class function on G(r,p,n).
+    """Trace of the action on a scope, as a class function on G(r,p,n)."""
+    return _block_characters(basis, [scope], twist)[0]
+
+
+def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[ClassFunction]:
+    """The traces of the action on disjoint scopes, in one sweep.
 
     Evaluated at the canonical representative g of each class; only basis
     vectors fixed by the conjugation contribute their scalar, a signed
-    r-th root of unity, summed as a histogram of exponents per class.
+    r-th root of unity, summed as a histogram per (class, scope).
 
-    The scope's vectors are bucketed by their perm, each mapping its least
-    lift's colors to its kind.  |g| v |g|^{-1} has the perm of v exactly
-    when |v| commutes with |g|, which is tested once per (class, perm); the
-    sign of a symmetric vector depends only on the perms, so it is found
-    there too.  In a commuting bucket the fixed vectors are the colorings
-    with colors[G(j)] = colors[j] + s for one of the class's shifts s (see
+    The vectors of all scopes are bucketed by their perm, each mapping its
+    least lift's colors to its scope and kind; a coset met twice means the
+    scopes overlap.  |g| v |g|^{-1} has the perm of v exactly when |v|
+    commutes with |g|, which is tested once per (class, perm); the sign of
+    a symmetric vector depends only on the perms, so it is found there too.
+    In a commuting bucket the fixed vectors are the colorings with
+    colors[G(j)] = colors[j] + s for one of the class's shifts s (see
     _class_window; s = 0 unless the basis is a quotient).  The bucket finds
     them by whichever way takes fewer steps: look up every such coloring,
     or test each member.
     """
-    indices = basis.scope_indices(scope)
     r = basis.r
     step = r // basis.p
     labels = enumerate_classes(r, basis.p, basis.n)
@@ -339,19 +344,25 @@ def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> Class
     for _, _, _, color_sum, *_ in windows:
         if color_sum * step % r:
             raise ValueError("pairing is not lift-independent for this pair")
-    # perm -> (its taker, {least lift's colors: symmetric?})
+    # perm -> (its taker, {least lift's colors: (scope number, symmetric?)})
     buckets: dict[tuple, tuple] = {}
-    for i in indices:
-        rep = basis.elements[i].rep
-        kind = rep.symmetry_kind()
-        if kind == "neither":
-            raise ValueError("basis element is neither symmetric nor antisymmetric")
-        if rep.perm not in buckets:
-            buckets[rep.perm] = (_taker([k - 1 for k in rep.perm]), {})
-        buckets[rep.perm][1][rep.colors] = kind == "symmetric"
-    histograms = []
+    for k, scope in enumerate(scopes):
+        for i in basis.scope_indices(scope):
+            rep = basis.elements[i].rep
+            kind = rep.symmetry_kind()
+            if kind == "neither":
+                raise ValueError("basis element is neither symmetric nor antisymmetric")
+            if rep.perm not in buckets:
+                buckets[rep.perm] = (_taker([j - 1 for j in rep.perm]), {})
+            members = buckets[rep.perm][1]
+            if rep.colors in members:
+                raise ValueError("scopes overlap")
+            members[rep.colors] = (k, kind == "symmetric")
+    # one Cyclotomic per distinct histogram: the cells repeat few values
+    values: dict[tuple, Cyclotomic] = {}
+    columns = []
     for g_perm, take, g_nonzero, _, source, cycles, shifts, candidates in windows:
-        histogram = [0] * r
+        counts = [[0] * r for _ in scopes]
         colorings = None
         for v_perm, (v_take, members) in buckets.items():
             # |v|(|g|(j)) == |g|(|v|(j)) for every j
@@ -369,29 +380,29 @@ def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> Class
             else:
                 # |g| v |g|^{-1} has the colors take(colors): colors[G(j)] at j
                 fixed = [
-                    (colors, symmetric)
-                    for colors, symmetric in members.items()
+                    (colors, member)
+                    for colors, member in members.items()
                     if (moved := take(colors)) == colors
                     or (len(shifts) > 1 and _fixed_up_to_shift(colors, moved, r, step))
                 ]
-            for colors, symmetric in fixed:
+            for colors, (k, symmetric) in fixed:
                 exponent = sum(z * colors[j] for j, z in g_nonzero) % r
                 if symmetric:
-                    histogram[exponent] += sign
+                    counts[k][exponent] += sign
                 else:
                     if twist:
                         exponent = (exponent + _transfer(colors, source, r)) % r
-                    histogram[exponent] += 1
-        histograms.append(histogram)
-    return ClassFunction(
-        r,
-        basis.p,
-        basis.n,
-        {
-            label: Cyclotomic(r, histogram)
-            for label, histogram in zip(labels, histograms)
-        },
-    )
+                    counts[k][exponent] += 1
+        column = []
+        for histogram in map(tuple, counts):
+            if histogram not in values:
+                values[histogram] = Cyclotomic(r, histogram)
+            column.append(values[histogram])
+        columns.append(column)
+    return [
+        ClassFunction(r, basis.p, basis.n, dict(zip(labels, column)))
+        for column in zip(*columns)
+    ]
 
 
 def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]:
@@ -462,7 +473,8 @@ class VerificationReport(Immutable):
 def _basis_and_table(r: int, p: int, q: int, n: int, max_order: int):
     """The model basis and the character table of G(r,p,q,n), after the
     global anchor: the basis size equals the sum of the irreducible
-    degrees.  Unsupported groups are refused before the basis is built."""
+    degrees, and whether the table's rows are certified independent.
+    Unsupported groups are refused before the basis is built."""
     check_supported_group(r, p, q, n)
     basis = ModelBasis(r, p, q, n, max_order)
     table = character_table(r, p, q, n)
@@ -472,7 +484,7 @@ def _basis_and_table(r: int, p: int, q: int, n: int, max_order: int):
             "model dimension %d differs from total degree %d"
             % (basis.dimension, degree_sum)
         )
-    return basis, table
+    return basis, table, rows_independent(table)
 
 
 def verify_class_decomposition(
@@ -492,20 +504,17 @@ def verify_class_decomposition(
     sum of the irreducible degrees, and block sizes sum to the dimension.
     Pass only=type to restrict the report to one block.
     """
-    basis, table = _basis_and_table(r, p, q, n, max_order)
+    basis, table, certified = _basis_and_table(r, p, q, n, max_order)
     if only is None:
         targets = basis.types
     elif only in basis.blocks:
         targets = (only,)
     else:
         raise ValueError("no involution class of type %s" % only)
-    certified = rows_independent(table)
     entries = []
-    for ctype in targets:
+    for ctype, character in zip(targets, _block_characters(basis, targets)):
         predicted = predicted_labels(ctype)
-        computed = decompose(
-            model_character(basis, ctype), table, predicted if certified else None
-        )
+        computed = decompose(character, table, predicted if certified else None)
         entries.append(
             ClassVerification(ctype, len(basis.blocks[ctype]), predicted, computed)
         )
@@ -523,14 +532,10 @@ def gelfand_check(
     full character goes through decompose, expecting every row once when
     the rows are certified independent.
     """
-    basis, table = _basis_and_table(r, p, q, n, max_order)
+    basis, table, certified = _basis_and_table(r, p, q, n, max_order)
     labels = [label for label, _ in table]
     mults = dict(
-        decompose(
-            model_character(basis, "all"),
-            table,
-            labels if rows_independent(table) else None,
-        )
+        decompose(model_character(basis, "all"), table, labels if certified else None)
     )
     rows = [(label, mults.get(label, 0)) for label in labels]
     return rows, all(mult == 1 for _, mult in rows)

@@ -50,6 +50,7 @@ from gelfand.errors import (
 from gelfand.model import (
     ModelBasis,
     _action_scalar,
+    _block_characters,
     _inversions,
     _pairing,
     _transfer,
@@ -368,6 +369,45 @@ def test_model_character_matches_window_loop(flags, blocks):
     basis = _basis_from_flags(*flags)
     for scope in (basis.types + ("all",)) if blocks else ("all",):
         assert model_character(basis, scope) == _window_model_character(basis, scope)
+
+
+# 4 1 2 4 adds a larger quotient basis with fixed cosets up to a shift
+@pytest.mark.parametrize(
+    "flags", DIFFERENTIAL_BASES + [(4, 1, 2, 4)], ids=_flags_id
+)
+def test_one_sweep_matches_each_block_alone(flags):
+    basis = _basis_from_flags(*flags)
+    for twist in (True, False):
+        swept = _block_characters(basis, basis.types, twist)
+        assert len(swept) == len(basis.types)
+        for ctype, ours in zip(basis.types, swept):
+            assert ours == _window_model_character(basis, ctype, twist), (ctype, twist)
+        halves = _block_characters(basis, ["M0", "M1"], twist)
+        assert halves == [
+            _window_model_character(basis, half, twist) for half in ("M0", "M1")
+        ]
+
+
+def test_sweep_rejects_overlapping_scopes():
+    basis = ModelBasis(2, 2, 1, 4)
+    for scopes in (["all", basis.types[0]], ["M0", "all"], [basis.types[1]] * 2):
+        with pytest.raises(ValueError, match="scopes overlap"):
+            _block_characters(basis, scopes)
+
+
+def test_verification_builds_each_class_window_once(monkeypatch):
+    calls = []
+    window = gelfand.model._class_window
+
+    def counted(label):
+        calls.append(label)
+        return window(label)
+
+    monkeypatch.setattr(gelfand.model, "_class_window", counted)
+    report = verify_class_decomposition(2, 2, 1, 4)
+    assert report.passed and len(report.entries) > 1
+    labels = enumerate_classes(2, 2, 4)
+    assert len(calls) == len(labels) and set(calls) == set(labels)
 
 
 def test_model_character_rejects_lift_dependent_pairing(monkeypatch):
