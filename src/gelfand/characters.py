@@ -14,7 +14,12 @@ two constituents are built as integer 2*chi, the restricted character
 plus or minus the closed-form difference character, and halved once.
 The table holds one value object per distinct value.
 
-All values are exact elements of Q(zeta_r).
+All values are exact elements of Q(zeta_r).  The verification steps run
+on Python ints: rows_independent reduces each distinct value object mod a
+prime once and eliminates on rows packed into one int each, with fields
+wide enough for the bound on their growth; the reassembly check converts
+each distinct value once to integer numerators over its denominator and
+compares every class in integers.
 """
 
 from __future__ import annotations
@@ -349,20 +354,57 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     return total / order
 
 
+def _integral(value: Cyclotomic, order: int) -> tuple[list[int], int]:
+    """Power-basis coefficients of value in Q(zeta_order), as integer
+    numerators over their least common denominator."""
+    coeffs = value.to_order(order).coeffs
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
 def _reassembles(f: ClassFunction, terms) -> bool:
     """Whether f equals the sum of row * multiplicity over the (row,
-    multiplicity) terms, class by class.  Compares power-basis coefficients
-    at the lcm of the orders at each class, building no value."""
+    multiplicity) terms, class by class, building no value.
+
+    Each distinct value object is converted once, on first use, to integer
+    numerators over its own denominator, lifted to the lcm of the orders at
+    its class.  Each class is then compared in integers, scaled to the lcm
+    of its denominators, and the first mismatching class ends the check.
+    """
     for row, _ in terms:
         f._same_group(row)
+    # id(value) at the value's own order, (id(value), order) when lifted;
+    # f and the rows keep every value alive for the call
+    integral: dict = {}
+    columns = [(row.values, mult) for row, mult in terms]
     for label, value in f.values.items():
-        cells = [(row.values[label], mult) for row, mult in terms]
-        order = lcm(value.order, *(cell.order for cell, _ in cells))
-        acc = list(value.to_order(order).coeffs)
+        order = value.order
+        cells = []
+        for values, mult in columns:
+            cell = values[label]
+            cells.append((cell, mult))
+            if cell.order != order:
+                order = lcm(order, cell.order)
+        key = id(value) if value.order == order else (id(value), order)
+        found = integral.get(key)
+        if found is None:
+            found = integral[key] = _integral(value, order)
+        acc, den = found
         for cell, mult in cells:
-            for i, c in enumerate(cell.to_order(order).coeffs):
-                if c:
-                    acc[i] -= mult * c
+            key = id(cell) if cell.order == order else (id(cell), order)
+            found = integral.get(key)
+            if found is None:
+                found = integral[key] = _integral(cell, order)
+            nums, d = found
+            if den % d:
+                common = lcm(den, d)
+                acc = [x * (common // den) for x in acc]
+                den = common
+            scale = mult * (den // d)
+            acc = [a - scale * x for a, x in zip(acc, nums)]
         if any(acc):
             return False
     return True
@@ -400,32 +442,64 @@ def rows_independent(table) -> bool:
     table of G(r,p,n), whose determinant times its conjugate is, up to
     sign, the product of the centralizer orders, and ell divides none of
     them (their prime factors divide r or are at most n).
+
+    Each distinct value object is reduced mod ell once.  A row is packed
+    into one int with a field per class, and a pivot step is one big-int
+    multiply-add, row += (ell - c) * pivot with the pivot normalised once,
+    which zeroes the pivot's field mod ell and leaves every field
+    non-negative and unreduced.  A field starts below ell, each step adds
+    below ell^2, and a row takes fewer steps than the table has rows, so
+    the field width comes from that bound and no field carries into the
+    next.
     """
     first = table[0][1]
     r = first.r
     ell, omega = _residue_field(r)
     powers = [pow(omega, k, ell) for k in range(r)]
     classes = list(first.values)
+    bound = ell + (len(table) - 1) * ell * ell  # every field stays below
+    size = -(-bound.bit_length() // 8)  # whole bytes per field
+    width = 8 * size
+    if bound > 1 << width:
+        raise InconsistencyError("packed fields of %d bits overflow" % width)
+    mask = (1 << width) - 1
+    residues: dict = {}  # id(value) -> residue; the table keeps values alive
+
+    def pack(fields) -> int:
+        return int.from_bytes(
+            b"".join(x.to_bytes(size, "little") for x in fields), "little"
+        )
+
     pivots = []
     for _, row in table:
-        reduced = []
+        fields = []
         for label in classes:
-            total = 0
-            for c, w in zip(row.values[label].to_order(r).coeffs, powers):
-                if c:
-                    if c.denominator % ell == 0:
-                        return False
-                    total += c.numerator * pow(c.denominator, -1, ell) * w
-            reduced.append(total % ell)
+            value = row.values[label]
+            x = residues.get(id(value))
+            if x is None:
+                x = 0
+                for c, w in zip(value.to_order(r).coeffs, powers):
+                    if c:
+                        if c.denominator % ell == 0:
+                            return False
+                        x += c.numerator * pow(c.denominator, -1, ell) * w
+                x = residues[id(value)] = x % ell
+            fields.append(x)
+        packed = pack(fields)
         for col, pivot in pivots:
-            c = reduced[col]
+            c = ((packed >> (col * width)) & mask) % ell
             if c:
-                reduced = [(x - c * y) % ell for x, y in zip(reduced, pivot)]
-        col = next((j for j, x in enumerate(reduced) if x), None)
+                packed += (ell - c) * pivot
+        data = packed.to_bytes(size * len(classes), "little")
+        fields = [
+            int.from_bytes(data[j : j + size], "little") % ell
+            for j in range(0, len(data), size)
+        ]
+        col = next((j for j, x in enumerate(fields) if x), None)
         if col is None:
             return False
-        inverse = pow(reduced[col], -1, ell)
-        pivots.append((col, [x * inverse % ell for x in reduced]))
+        inverse = pow(fields[col], -1, ell)
+        pivots.append((col, pack(x * inverse % ell for x in fields)))
     return True
 
 

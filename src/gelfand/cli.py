@@ -46,14 +46,18 @@ SCHEMA = 1
 
 def _resolve_max_order(args) -> int:
     if getattr(args, "max_group_order", None) is not None:
-        return args.max_group_order
-    env = os.environ.get("MODEL_MAX_ORDER")
-    if env is not None:
+        value, source = args.max_group_order, "--max-group-order"
+    else:
+        env = os.environ.get("MODEL_MAX_ORDER")
+        if env is None:
+            return ENUMERATION_GUARD
         try:
-            return int(env)
+            value, source = int(env), "MODEL_MAX_ORDER"
         except ValueError:
             raise ValueError("MODEL_MAX_ORDER must be an integer, got %r" % env)
-    return ENUMERATION_GUARD
+    if value < 1:
+        raise ValueError("%s must be a positive integer, got %d" % (source, value))
+    return value
 
 
 def _emit_rows(rows) -> None:

@@ -15,6 +15,7 @@ from gelfand.characters import (
     ClassFunction,
     IrreducibleLabel,
     _cycles,
+    _is_prime,
     _reassembles,
     _residue_field,
     _wreath_histograms,
@@ -423,6 +424,131 @@ def test_rows_independent_rejects_denominator_divisible_by_prime():
     assert not rows_independent(scaled)
 
 
+def _reference_rows_independent(table) -> bool:
+    """The certificate as it was, one Fraction reduction per cell and
+    eliminated on lists: the reference for the packed one."""
+    first = table[0][1]
+    r = first.r
+    ell, omega = _residue_field(r)
+    powers = [pow(omega, k, ell) for k in range(r)]
+    classes = list(first.values)
+    pivots = []
+    for _, row in table:
+        reduced = []
+        for label in classes:
+            total = 0
+            for c, w in zip(row.values[label].to_order(r).coeffs, powers):
+                if c:
+                    if c.denominator % ell == 0:
+                        return False
+                    total += c.numerator * pow(c.denominator, -1, ell) * w
+            reduced.append(total % ell)
+        for col, pivot in pivots:
+            c = reduced[col]
+            if c:
+                reduced = [(x - c * y) % ell for x, y in zip(reduced, pivot)]
+        col = next((j for j, x in enumerate(reduced) if x), None)
+        if col is None:
+            return False
+        inverse = pow(reduced[col], -1, ell)
+        pivots.append((col, [x * inverse % ell for x in reduced]))
+    return True
+
+
+def _certified_alike(table) -> bool:
+    verdict = rows_independent(table)
+    assert verdict == _reference_rows_independent(table)
+    return verdict
+
+
+SMALL_GROUPS = [
+    (r, p, q, n)
+    for r in range(1, 7)
+    for n in range(1, 4)
+    for p in range(1, r + 1)
+    for q in range(1, r + 1)
+    if r % p == 0 and r % q == 0 and (r * n) % (p * q) == 0 and gcd(p, n) <= 2
+]
+# every supported group with r <= 6 and n <= 3, and the acting groups of
+# the decompose workload
+PACKING_GROUPS = SMALL_GROUPS + [(2, 2, 1, 6), (4, 2, 1, 4), (6, 2, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "group", PACKING_GROUPS, ids=lambda group: "-".join(map(str, group))
+)
+def test_packed_certificate_agrees_with_reference(group):
+    table = character_table(*group)
+    assert _certified_alike(table)
+
+
+def _perturbed(table):
+    """Dependent variants of a table with at least three rows: a
+    duplicated row, a row replaced by the sum of two others or by a
+    root-of-unity combination of two others, and the last row scaled by
+    1/ell."""
+    r = table[0][1].r
+    ell, _ = _residue_field(r)
+    last = len(table) - 1
+    i, j, k = 0, last // 2, last
+    yield table + [table[j]]
+    summed = list(table)
+    summed[k] = (table[k][0], table[i][1] + table[j][1])
+    yield summed
+    twisted = list(table)
+    twisted[k] = (table[k][0], table[i][1].scale(zeta(r)) + table[j][1])
+    yield twisted
+    scaled = list(table)
+    scaled[last] = (table[last][0], table[last][1].scale(Fraction(1, ell)))
+    yield scaled
+
+
+@pytest.mark.parametrize(
+    "group",
+    [(2, 2, 1, 4), (3, 1, 1, 3), (4, 2, 1, 2), (4, 1, 2, 4), (6, 2, 1, 3)],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_packed_certificate_rejects_perturbed_tables(group):
+    for table in _perturbed(character_table(*group)):
+        assert not _certified_alike(table)
+
+
+def test_packed_certificate_on_one_and_few_fields():
+    for group in [(1, 1, 1, 1), (4, 1, 1, 1)]:
+        table = character_table(*group)
+        assert len(table) == len(enumerate_classes(group[0], group[1], group[3]))
+        assert _certified_alike(table)
+        assert not _certified_alike(table + [table[0]])
+
+
+def _wide_residue_field(r: int) -> tuple[int, int]:
+    """A prime ell = 1 (mod r) above 2^32, so ell^2 exceeds 64 bits, and
+    a primitive r-th root of unity mod ell."""
+    ell = (2**32 // r + 1) * r + 1
+    while ell % 2 == 0 or not _is_prime(ell):
+        ell += r
+    primes = [s for s in range(2, r + 1) if r % s == 0 and _is_prime(s)]
+    omega = next(
+        w
+        for w in (pow(a, (ell - 1) // r, ell) for a in range(2, ell))
+        if all(pow(w, r // s, ell) != 1 for s in primes)
+    )
+    return ell, omega
+
+
+def test_packed_field_width_follows_the_prime(monkeypatch):
+    import gelfand.characters
+
+    wide = {r: _wide_residue_field(r) for r in (2, 4)}
+    assert all(ell * ell >= 2**64 and ell % r == 1 for r, (ell, _) in wide.items())
+    monkeypatch.setattr(gelfand.characters, "_residue_field", wide.__getitem__)
+    monkeypatch.setitem(globals(), "_residue_field", wide.__getitem__)
+    small = character_table(2, 2, 1, 4)
+    assert _certified_alike(small)
+    assert _certified_alike(character_table(4, 2, 1, 2))
+    assert not _certified_alike(small + [small[2]])
+
+
 def test_decompose_shortcut_agrees_with_projection():
     table = character_table(2, 2, 1, 4)
     labels = [table[0][0], table[4][0], table[7][0]]
@@ -497,3 +623,45 @@ def test_reassembly_agrees_with_per_value_reference(group):
     assert _agree(twisted, [(rows[-1].scale(zeta(2 * r)), 1)])
     assert not _agree(twisted, [(rows[-1], 1)])
     assert _agree(rows[-1].scale(Cyclotomic.one(2 * r)), [(rows[-1], 1)])
+
+
+@pytest.mark.parametrize(
+    "group", [(2, 2, 1, 4), (3, 1, 1, 3), (4, 1, 2, 4), (6, 2, 1, 2)],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_reassembly_beyond_the_table(group):
+    r, p, _, n = group
+    rows = [row for _, row in character_table(*group)]
+    a, b, c = rows[1], rows[len(rows) // 2], rows[-1]
+    # values lifted to order 2r, beside values of order r
+    twisted = a.scale(zeta(2 * r))
+    f = twisted + b
+    assert {v.order for v in f.values.values()} == {2 * r}
+    assert _agree(f, [(twisted, 1), (b, 1)])
+    assert not _agree(f, [(a, 1), (b, 1)])
+    half_lifted = ClassFunction(r, p, n, {
+        label: value.to_order(2 * r) if k % 2 else value
+        for k, (label, value) in enumerate(b.values.items())
+    })
+    assert {v.order for v in half_lifted.values.values()} == {r, 2 * r}
+    assert _agree(half_lifted, [(b, 1)])
+    assert _agree(b, [(half_lifted, 1)])
+    assert not _agree(half_lifted, [(b, 2)])
+    # coefficients with denominators 3 and 4
+    thirds, quarters = a.scale(Fraction(1, 3)), c.scale(Fraction(3, 4))
+    terms = [(thirds, 2), (quarters, 1), (b, 1)]
+    f = _weighted_sum(terms)
+    assert _agree(f, terms)
+    assert not _agree(f, [(thirds, 1), (quarters, 1), (b, 1)])
+    values = dict(f.values)
+    first = next(iter(values))
+    values[first] = values[first] + Fraction(1, 12)
+    assert not _agree(ClassFunction(r, p, n, values), terms)
+    # a mismatch in the last class only
+    terms = [(a, 1), (c, 2)]
+    values = dict(_weighted_sum(terms).values)
+    last = list(values)[-1]
+    for delta in (zeta(r), Fraction(1, 3)):
+        changed = dict(values)
+        changed[last] = changed[last] + delta
+        assert not _agree(ClassFunction(r, p, n, changed), terms)

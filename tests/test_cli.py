@@ -249,6 +249,30 @@ def test_guard_env_variable(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_guard_flag_refuses_non_positive(capsys, value):
+    code, out, err = run(
+        capsys,
+        [
+            "model", "decompose",
+            "--r", "2", "--p", "1", "--q", "1", "--n", "3",
+            "--max-group-order", value,
+        ],
+    )
+    assert code == 2 and not out
+    assert "error: --max-group-order must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_guard_env_variable_refuses_non_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("MODEL_MAX_ORDER", value)
+    code, out, err = run(
+        capsys, ["involutions", "list", "--r", "2", "--p", "1", "--q", "1", "--n", "3"]
+    )
+    assert code == 2 and not out
+    assert "error: MODEL_MAX_ORDER must be a positive integer" in err
+
+
 def test_output_is_deterministic(capsys):
     argv = ["involutions", "types", "--r", "2", "--p", "2", "--q", "1", "--n", "4", "--json"]
     _, first, _ = run(capsys, argv)
