@@ -14,6 +14,11 @@ two constituents are built as integer 2*chi, the restricted character
 plus or minus the closed-form difference character, and halved once.
 The table holds one value object per distinct value.
 
+A class function holds its values as a tuple in enumerate_classes order,
+one per class.  The table, the model's block characters and the checks
+below all read cells by that position; f(label) is the one lookup by
+class label.
+
 All values are exact elements of Q(zeta_r).  The verification steps run
 on Python ints: rows_independent reduces each distinct value object mod a
 prime once and eliminates on rows packed into one int each, with fields
@@ -24,11 +29,12 @@ compares every class in integers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, lcm
 
-from .classes import ConjugacyClass, class_size, enumerate_classes
+from .classes import ConjugacyClass, class_positions, class_size, enumerate_classes
 from .colored import check_supported_group
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError
@@ -161,21 +167,27 @@ def delta1(mu: Shape, label: ConjugacyClass) -> Cyclotomic:
 
 
 class ClassFunction(Immutable):
-    """Exact class function on G(r,p,n), stored by class label."""
+    """Exact class function on G(r,p,n).
+
+    values is a tuple with one value per class, in enumerate_classes(r, p,
+    n) order; f(label) reads the value at one class.
+    """
 
     __slots__ = ("r", "p", "n", "values")
 
-    def __init__(self, r: int, p: int, n: int, values: dict) -> None:
-        domain = set(enumerate_classes(r, p, n))
-        if set(values) != domain:
-            raise ValueError("values must cover every class exactly once")
+    def __init__(self, r: int, p: int, n: int, values) -> None:
+        if isinstance(values, Mapping):
+            raise TypeError("values must be a sequence in enumerate_classes order")
+        values = tuple(values)
+        if len(values) != len(enumerate_classes(r, p, n)):
+            raise ValueError("values must hold one value per class")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", dict(values))
+        object.__setattr__(self, "values", values)
 
     def __call__(self, label: ConjugacyClass) -> Cyclotomic:
-        return self.values[label]
+        return self.values[class_positions(self.r, self.p, self.n)[label]]
 
     def _same_group(self, other: "ClassFunction") -> None:
         if (self.r, self.p, self.n) != (other.r, other.p, other.n):
@@ -184,38 +196,31 @@ class ClassFunction(Immutable):
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
         return ClassFunction(
-            self.r, self.p, self.n,
-            {c: v + other.values[c] for c, v in self.values.items()},
+            self.r, self.p, self.n, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
         return ClassFunction(
-            self.r, self.p, self.n,
-            {c: v - other.values[c] for c, v in self.values.items()},
+            self.r, self.p, self.n, [a - b for a, b in zip(self.values, other.values)]
         )
 
     def scale(self, factor) -> "ClassFunction":
-        return ClassFunction(
-            self.r, self.p, self.n,
-            {c: v * factor for c, v in self.values.items()},
-        )
+        return ClassFunction(self.r, self.p, self.n, [v * factor for v in self.values])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
         return (
             (self.r, self.p, self.n) == (other.r, other.p, other.n)
-            and all(v == other.values[c] for c, v in self.values.items())
+            and all(a == b for a, b in zip(self.values, other.values))
         )
 
     __hash__ = None
 
     def degree(self) -> Cyclotomic:
-        identity = ConjugacyClass(
-            self.r, self.p, (((1,) * self.n,) + ((),) * (self.r - 1))
-        )
-        return self.values[identity]
+        # enumerate_classes lists the identity class last
+        return self.values[-1]
 
 
 class IrreducibleLabel(Immutable):
@@ -316,8 +321,7 @@ def character_table(r: int, p: int, q: int, n: int):
                 )
                 row += 2
     rows = [
-        (label, ClassFunction(r, p, n, dict(zip(classes, row))))
-        for label, row in zip(labels, cells)
+        (label, ClassFunction(r, p, n, row)) for label, row in zip(labels, cells)
     ]
     expected_squares = r**n * factorial(n) // (p * q)
     total_squares = 0
@@ -349,8 +353,9 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     f._same_group(g)
     order = f.r**f.n * factorial(f.n) // f.p
     total = Cyclotomic.zero(f.r)
-    for label, value in f.values.items():
-        total = total + value * g.values[label].conjugate() * class_size(label)
+    classes = enumerate_classes(f.r, f.p, f.n)
+    for label, value, other in zip(classes, f.values, g.values):
+        total = total + value * other.conjugate() * class_size(label)
     return total / order
 
 
@@ -379,13 +384,10 @@ def _reassembles(f: ClassFunction, terms) -> bool:
     # id(value) at the value's own order, (id(value), order) when lifted;
     # f and the rows keep every value alive for the call
     integral: dict = {}
-    columns = [(row.values, mult) for row, mult in terms]
-    for label, value in f.values.items():
+    mults = [mult for _, mult in terms]
+    for value, *cells in zip(f.values, *(row.values for row, _ in terms)):
         order = value.order
-        cells = []
-        for values, mult in columns:
-            cell = values[label]
-            cells.append((cell, mult))
+        for cell in cells:
             if cell.order != order:
                 order = lcm(order, cell.order)
         key = id(value) if value.order == order else (id(value), order)
@@ -393,7 +395,7 @@ def _reassembles(f: ClassFunction, terms) -> bool:
         if found is None:
             found = integral[key] = _integral(value, order)
         acc, den = found
-        for cell, mult in cells:
+        for cell, mult in zip(cells, mults):
             key = id(cell) if cell.order == order else (id(cell), order)
             found = integral.get(key)
             if found is None:
@@ -456,7 +458,6 @@ def rows_independent(table) -> bool:
     r = first.r
     ell, omega = _residue_field(r)
     powers = [pow(omega, k, ell) for k in range(r)]
-    classes = list(first.values)
     bound = ell + (len(table) - 1) * ell * ell  # every field stays below
     size = -(-bound.bit_length() // 8)  # whole bytes per field
     width = 8 * size
@@ -472,9 +473,9 @@ def rows_independent(table) -> bool:
 
     pivots = []
     for _, row in table:
+        first._same_group(row)
         fields = []
-        for label in classes:
-            value = row.values[label]
+        for value in row.values:
             x = residues.get(id(value))
             if x is None:
                 x = 0
@@ -490,7 +491,7 @@ def rows_independent(table) -> bool:
             c = ((packed >> (col * width)) & mask) % ell
             if c:
                 packed += (ell - c) * pivot
-        data = packed.to_bytes(size * len(classes), "little")
+        data = packed.to_bytes(size * len(row.values), "little")
         fields = [
             int.from_bytes(data[j : j + size], "little") % ell
             for j in range(0, len(data), size)

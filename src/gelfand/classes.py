@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd
+from types import MappingProxyType
 
 from .colored import (
     ColoredPermutation,
@@ -160,7 +161,8 @@ def class_size(label: ConjugacyClass) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
-    """All classes of G(r,p,n), deterministically ordered."""
+    """All classes of G(r,p,n), deterministically ordered; the identity
+    class, every cycle of length 1 and color 0, comes last."""
     check_supported_group(r, p, 1, n)
     out = []
     for alpha in enumerate_shapes(r, n):
@@ -173,6 +175,15 @@ def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
             out.append(ConjugacyClass(r, p, alpha))
     out.sort(key=ConjugacyClass.sort_key)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def class_positions(r: int, p: int, n: int) -> MappingProxyType:
+    """Position of each class of G(r,p,n) in enumerate_classes order, the
+    order of a class function's values; read-only, as the cache shares it."""
+    return MappingProxyType(
+        {label: k for k, label in enumerate(enumerate_classes(r, p, n))}
+    )
 
 
 def normal_element(label: ConjugacyClass) -> ColoredPermutation:

@@ -66,7 +66,9 @@ def _emit_rows(rows) -> None:
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    # with indent set, json.dumps joins these same chunks
+    sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+    sys.stdout.write("\n")
 
 
 def _group_dict(r, p, q, n) -> dict:
@@ -206,6 +208,13 @@ def _cmd_classes_list(args) -> int:
 def _cmd_chartable(args) -> int:
     table = character_table(args.r, args.p, args.q, args.n)
     labels = enumerate_classes(args.r, args.p, args.n)
+    # the table shares one value object per distinct value: render each once
+    text: dict = {}  # id(value) -> str(value); the table keeps values alive
+    for _, row in table:
+        for value in row.values:
+            if id(value) not in text:
+                text[id(value)] = str(value)
+    rendered = [[text[id(value)] for value in row.values] for _, row in table]
     if args.json:
         _emit_json(
             {
@@ -218,9 +227,9 @@ def _cmd_chartable(args) -> int:
                     {
                         "label": str(row_label),
                         "degree": label_degree(row_label),
-                        "values": [str(row(c)) for c in labels],
+                        "values": values,
                     }
-                    for row_label, row in table
+                    for (row_label, _), values in zip(table, rendered)
                 ],
             }
         )
@@ -230,8 +239,8 @@ def _cmd_chartable(args) -> int:
             ("size",) + tuple(class_size(c) for c in labels),
         ]
         rows += [
-            (str(row_label),) + tuple(str(row(c)) for c in labels)
-            for row_label, row in table
+            (str(row_label),) + tuple(values)
+            for (row_label, _), values in zip(table, rendered)
         ]
         _emit_rows(rows)
     return 0

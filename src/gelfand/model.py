@@ -337,8 +337,7 @@ def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[Cla
     """
     r = basis.r
     step = r // basis.p
-    labels = enumerate_classes(r, basis.p, basis.n)
-    windows = [_class_window(label) for label in labels]
+    windows = [_class_window(label) for label in enumerate_classes(r, basis.p, basis.n)]
     # every basis coset has scalar order basis.p, so a lift changes the
     # colors by a multiple of step
     for _, _, _, color_sum, *_ in windows:
@@ -399,10 +398,7 @@ def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[Cla
                 values[histogram] = Cyclotomic(r, histogram)
             column.append(values[histogram])
         columns.append(column)
-    return [
-        ClassFunction(r, basis.p, basis.n, dict(zip(labels, column)))
-        for column in zip(*columns)
-    ]
+    return [ClassFunction(r, basis.p, basis.n, column) for column in zip(*columns)]
 
 
 def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]:

@@ -237,7 +237,7 @@ def _reference_character_table(r, p, q, n):
             rows.append(
                 (
                     IrreducibleLabel(orbit, 0),
-                    ClassFunction(r, p, n, restricted),
+                    ClassFunction(r, p, n, [restricted[c] for c in classes]),
                 )
             )
             continue
@@ -249,7 +249,12 @@ def _reference_character_table(r, p, q, n):
             values = {
                 c: (restricted[c] + difference[c] * sign) * half for c in classes
             }
-            rows.append((IrreducibleLabel(orbit, j), ClassFunction(r, p, n, values)))
+            rows.append(
+                (
+                    IrreducibleLabel(orbit, j),
+                    ClassFunction(r, p, n, [values[c] for c in classes]),
+                )
+            )
     return rows
 
 
@@ -304,7 +309,7 @@ def test_delta1_rejects_odd_color_count():
 
 def test_class_function_arithmetic():
     classes = enumerate_classes(2, 1, 2)
-    f = ClassFunction(2, 1, 2, {c: Cyclotomic.one(2) for c in classes})
+    f = ClassFunction(2, 1, 2, [Cyclotomic.one(2) for _ in classes])
     g = f + f
     assert g(classes[0]) == Cyclotomic.from_rational(2)
     assert (g - f) == f
@@ -316,13 +321,40 @@ def test_class_function_arithmetic():
 
 def test_class_function_group_mismatch():
     f = ClassFunction(
-        2, 1, 2, {c: Cyclotomic.one(2) for c in enumerate_classes(2, 1, 2)}
+        2, 1, 2, [Cyclotomic.one(2) for _ in enumerate_classes(2, 1, 2)]
     )
     h = ClassFunction(
-        2, 1, 3, {c: Cyclotomic.one(2) for c in enumerate_classes(2, 1, 3)}
+        2, 1, 3, [Cyclotomic.one(2) for _ in enumerate_classes(2, 1, 3)]
     )
     with pytest.raises(ValueError):
         f + h
+
+
+def test_class_function_takes_one_value_per_class_in_order():
+    classes = enumerate_classes(2, 1, 2)
+    with pytest.raises(TypeError):
+        ClassFunction(2, 1, 2, {c: Cyclotomic.one(2) for c in classes})
+    for count in (len(classes) - 1, len(classes) + 1):
+        with pytest.raises(ValueError):
+            ClassFunction(2, 1, 2, [Cyclotomic.one(2)] * count)
+
+
+def test_table_row_values_follow_the_class_order():
+    table = character_table(4, 2, 1, 4)
+    row = next(row for label, row in table if label.orbit.m > 1)
+    assert isinstance(row.values, tuple)
+    for k, label in enumerate(enumerate_classes(4, 2, 4)):
+        assert row(label) is row.values[k]
+
+
+def test_degree_reads_the_identity_class_listed_last():
+    for r in range(1, 7):
+        for p in (d for d in range(1, r + 1) if r % d == 0):
+            for n in (m for m in range(1, 6) if gcd(p, m) <= 2):
+                identity = ConjugacyClass(r, p, ((1,) * n,) + ((),) * (r - 1))
+                assert enumerate_classes(r, p, n)[-1] == identity
+    for _, row in character_table(4, 2, 1, 4):
+        assert row.degree() is row(enumerate_classes(4, 2, 4)[-1])
 
 
 def test_table_orthonormal_rows():
@@ -431,13 +463,13 @@ def _reference_rows_independent(table) -> bool:
     r = first.r
     ell, omega = _residue_field(r)
     powers = [pow(omega, k, ell) for k in range(r)]
-    classes = list(first.values)
+    classes = enumerate_classes(first.r, first.p, first.n)
     pivots = []
     for _, row in table:
         reduced = []
         for label in classes:
             total = 0
-            for c, w in zip(row.values[label].to_order(r).coeffs, powers):
+            for c, w in zip(row(label).to_order(r).coeffs, powers):
                 if c:
                     if c.denominator % ell == 0:
                         return False
@@ -565,9 +597,9 @@ def _is_sum_of_rows(f: ClassFunction, rows) -> bool:
     arithmetic."""
     for row in rows:
         f._same_group(row)
-    for label, value in f.values.items():
+    for label, value in zip(enumerate_classes(f.r, f.p, f.n), f.values):
         for row in rows:
-            value = value - row.values[label]
+            value = value - row(label)
         if not value.is_zero():
             return False
     return True
@@ -605,16 +637,16 @@ def test_reassembly_agrees_with_per_value_reference(group):
         assert not _agree(f, terms[1:])
         doubled = [(terms[0][0], 2 * terms[0][1])] + terms[1:]
         assert not _agree(f, doubled)
-        values = dict(f.values)
-        cell = rng.choice(list(values))
+        values = list(f.values)
+        cell = rng.choice(range(len(values)))
         values[cell] = values[cell] + zeta(r)
         assert not _agree(ClassFunction(r, group[1], group[3], values), terms)
     trivial = next(
-        row for row in rows if all(v == 1 for v in row.values.values())
+        row for row in rows if all(v == 1 for v in row.values)
     )
     rational = ClassFunction(
         r, group[1], group[3],
-        {c: Cyclotomic.from_rational(1) for c in trivial.values},
+        [Cyclotomic.from_rational(1) for _ in trivial.values],
     )
     assert _agree(rational, [(trivial, 1)])
     assert not _agree(rational, [(trivial, 2)])
@@ -636,14 +668,14 @@ def test_reassembly_beyond_the_table(group):
     # values lifted to order 2r, beside values of order r
     twisted = a.scale(zeta(2 * r))
     f = twisted + b
-    assert {v.order for v in f.values.values()} == {2 * r}
+    assert {v.order for v in f.values} == {2 * r}
     assert _agree(f, [(twisted, 1), (b, 1)])
     assert not _agree(f, [(a, 1), (b, 1)])
-    half_lifted = ClassFunction(r, p, n, {
-        label: value.to_order(2 * r) if k % 2 else value
-        for k, (label, value) in enumerate(b.values.items())
-    })
-    assert {v.order for v in half_lifted.values.values()} == {r, 2 * r}
+    half_lifted = ClassFunction(r, p, n, [
+        value.to_order(2 * r) if k % 2 else value
+        for k, value in enumerate(b.values)
+    ])
+    assert {v.order for v in half_lifted.values} == {r, 2 * r}
     assert _agree(half_lifted, [(b, 1)])
     assert _agree(b, [(half_lifted, 1)])
     assert not _agree(half_lifted, [(b, 2)])
@@ -653,15 +685,13 @@ def test_reassembly_beyond_the_table(group):
     f = _weighted_sum(terms)
     assert _agree(f, terms)
     assert not _agree(f, [(thirds, 1), (quarters, 1), (b, 1)])
-    values = dict(f.values)
-    first = next(iter(values))
-    values[first] = values[first] + Fraction(1, 12)
+    values = list(f.values)
+    values[0] = values[0] + Fraction(1, 12)
     assert not _agree(ClassFunction(r, p, n, values), terms)
     # a mismatch in the last class only
     terms = [(a, 1), (c, 2)]
-    values = dict(_weighted_sum(terms).values)
-    last = list(values)[-1]
+    values = _weighted_sum(terms).values
     for delta in (zeta(r), Fraction(1, 3)):
-        changed = dict(values)
-        changed[last] = changed[last] + delta
+        changed = list(values)
+        changed[-1] = changed[-1] + delta
         assert not _agree(ClassFunction(r, p, n, changed), terms)

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+import gelfand.cli
+from gelfand.characters import character_table
 from gelfand.cli import main
+from gelfand.cyclotomic import Cyclotomic
 
 
 def run(capsys, argv):
@@ -149,6 +152,37 @@ def test_chartable_json(capsys):
     assert sum(row["degree"] ** 2 for row in payload["rows"]) == 4
     for row in payload["rows"]:
         assert len(row["values"]) == len(payload["classes"])
+
+
+def test_chartable_renders_each_distinct_value_once(capsys, monkeypatch):
+    tables = []
+
+    def recorded_table(*args):
+        tables.append(character_table(*args))
+        return tables[-1]
+
+    rendered = []
+    plain_str = Cyclotomic.__str__
+
+    def counted_str(value):
+        rendered.append(id(value))
+        return plain_str(value)
+
+    monkeypatch.setattr(gelfand.cli, "character_table", recorded_table)
+    monkeypatch.setattr(Cyclotomic, "__str__", counted_str)
+    code, out, _ = run(
+        capsys,
+        ["chartable", "--r", "4", "--p", "2", "--q", "1", "--n", "4", "--json"],
+    )
+    assert code == 0
+    [table] = tables
+    distinct = {id(value) for _, row in table for value in row.values}
+    assert len(rendered) == len(distinct)
+    assert set(rendered) == distinct
+    payload = json.loads(out)
+    assert [row["values"] for row in payload["rows"]] == [
+        [plain_str(value) for value in row.values] for _, row in table
+    ]
 
 
 def test_model_decompose_single_class(capsys):

@@ -213,6 +213,14 @@ def test_block_characters_sum_to_full():
     assert total == model_character(basis, "all")
 
 
+def test_block_character_values_follow_the_class_order():
+    basis = ModelBasis(2, 2, 1, 4)
+    character = model_character(basis, basis.types[-1])
+    assert isinstance(character.values, tuple)
+    for k, label in enumerate(enumerate_classes(2, 2, 4)):
+        assert character(label) is character.values[k]
+
+
 def _reference_model_character(basis, scope="all", twist=True):
     """The block trace on group objects: conjugate every basis coset by the
     class representative and add the action scalar at each fixed point."""
@@ -226,7 +234,12 @@ def _reference_model_character(basis, scope="all", twist=True):
             if projective_conjugate(g, v) == v:
                 total = total + _action_scalar(g, v, twist)
         values[label] = total
-    return ClassFunction(basis.r, basis.p, basis.n, values)
+    return ClassFunction(
+        basis.r,
+        basis.p,
+        basis.n,
+        [values[c] for c in enumerate_classes(basis.r, basis.p, basis.n)],
+    )
 
 
 # basis-group flags r p q n, as on the command line; the acting group,
@@ -310,13 +323,7 @@ def _window_model_character(basis, scope="all", twist=True):
                         exponent = (exponent + _transfer(v_colors, source, r)) % r
                     histogram[exponent] += 1
     return ClassFunction(
-        r,
-        basis.p,
-        basis.n,
-        {
-            label: Cyclotomic(r, histogram)
-            for label, histogram in zip(labels, histograms)
-        },
+        r, basis.p, basis.n, [Cyclotomic(r, histogram) for histogram in histograms]
     )
 
 
