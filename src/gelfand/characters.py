@@ -19,18 +19,17 @@ one per class.  The table, the model's block characters and the checks
 below all read cells by that position; f(label) is the one lookup by
 class label.
 
-All values are exact elements of Q(zeta_r).  The verification steps run
-on Python ints: rows_independent reduces each distinct value object mod a
-prime once and eliminates on rows packed into one int each, with fields
-wide enough for the bound on their growth; the reassembly check converts
-each distinct value once to integer numerators over its denominator and
-compares every class in integers.
+All values are exact elements of Q(zeta_r), each held as integer
+numerators over one denominator, and the verification steps read those
+ints as they are: rows_independent reduces each distinct value object mod
+a prime once and eliminates on rows packed into one int each, with fields
+wide enough for the bound on their growth; the reassembly check compares
+every class in integers, scaled to the lcm of its denominators.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, lcm
 
@@ -285,9 +284,7 @@ def character_table(r: int, p: int, q: int, n: int):
         key = (histogram, denominator)
         found = values.get(key)
         if found is None:
-            found = values[key] = Cyclotomic(
-                r, [Fraction(x, denominator) for x in histogram]
-            )
+            found = values[key] = Cyclotomic(r, histogram, denominator)
         return found
 
     columns: dict = {}
@@ -359,54 +356,34 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     return total / order
 
 
-def _integral(value: Cyclotomic, order: int) -> tuple[list[int], int]:
-    """Power-basis coefficients of value in Q(zeta_order), as integer
-    numerators over their least common denominator."""
-    coeffs = value.to_order(order).coeffs
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
-
-
 def _reassembles(f: ClassFunction, terms) -> bool:
     """Whether f equals the sum of row * multiplicity over the (row,
     multiplicity) terms, class by class, building no value.
 
-    Each distinct value object is converted once, on first use, to integer
-    numerators over its own denominator, lifted to the lcm of the orders at
-    its class.  Each class is then compared in integers, scaled to the lcm
-    of its denominators, and the first mismatching class ends the check.
+    Each class reads the values' integer numerators, lifted to the lcm of
+    the orders there when they differ, and compares them in integers,
+    scaled to the lcm of its denominators; the first mismatching class ends
+    the check.
     """
     for row, _ in terms:
         f._same_group(row)
-    # id(value) at the value's own order, (id(value), order) when lifted;
-    # f and the rows keep every value alive for the call
-    integral: dict = {}
     mults = [mult for _, mult in terms]
     for value, *cells in zip(f.values, *(row.values for row, _ in terms)):
         order = value.order
         for cell in cells:
             if cell.order != order:
                 order = lcm(order, cell.order)
-        key = id(value) if value.order == order else (id(value), order)
-        found = integral.get(key)
-        if found is None:
-            found = integral[key] = _integral(value, order)
-        acc, den = found
+        value = value.to_order(order)
+        acc, den = value.nums, value.den
         for cell, mult in zip(cells, mults):
-            key = id(cell) if cell.order == order else (id(cell), order)
-            found = integral.get(key)
-            if found is None:
-                found = integral[key] = _integral(cell, order)
-            nums, d = found
+            cell = cell.to_order(order)
+            d = cell.den
             if den % d:
                 common = lcm(den, d)
                 acc = [x * (common // den) for x in acc]
                 den = common
             scale = mult * (den // d)
-            acc = [a - scale * x for a, x in zip(acc, nums)]
+            acc = [a - scale * x for a, x in zip(acc, cell.nums)]
         if any(acc):
             return False
     return True
@@ -443,17 +420,20 @@ def rows_independent(table) -> bool:
     a genuine table of G(r,p,q,n) always pass: they are rows of the square
     table of G(r,p,n), whose determinant times its conjugate is, up to
     sign, the product of the centralizer orders, and ell divides none of
-    them (their prime factors divide r or are at most n).
+    them (their prime factors divide r or are at most n).  An empty table
+    is independent.
 
-    Each distinct value object is reduced mod ell once.  A row is packed
-    into one int with a field per class, and a pivot step is one big-int
-    multiply-add, row += (ell - c) * pivot with the pivot normalised once,
-    which zeroes the pivot's field mod ell and leaves every field
-    non-negative and unreduced.  A field starts below ell, each step adds
-    below ell^2, and a row takes fewer steps than the table has rows, so
-    the field width comes from that bound and no field carries into the
-    next.
+    Each distinct value object is reduced mod ell once, from its integer
+    numerators and denominator.  A row is packed into one int with a field
+    per class, and a pivot step is one big-int multiply-add, row += (ell -
+    c) * pivot with the pivot normalised once, which zeroes the pivot's
+    field mod ell and leaves every field non-negative and unreduced.  A
+    field starts below ell, each step adds below ell^2, and a row takes
+    fewer steps than the table has rows, so the field width comes from
+    that bound and no field carries into the next.
     """
+    if not table:
+        return True
     first = table[0][1]
     r = first.r
     ell, omega = _residue_field(r)
@@ -478,13 +458,11 @@ def rows_independent(table) -> bool:
         for value in row.values:
             x = residues.get(id(value))
             if x is None:
-                x = 0
-                for c, w in zip(value.to_order(r).coeffs, powers):
-                    if c:
-                        if c.denominator % ell == 0:
-                            return False
-                        x += c.numerator * pow(c.denominator, -1, ell) * w
-                x = residues[id(value)] = x % ell
+                lifted = value.to_order(r)
+                if lifted.den % ell == 0:
+                    return False
+                x = sum(c * w for c, w in zip(lifted.nums, powers))
+                x = residues[id(value)] = x * pow(lifted.den, -1, ell) % ell
             fields.append(x)
         packed = pack(fields)
         for col, pivot in pivots:

@@ -1,10 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_r).
 
 Elements are stored in the power basis 1, z, ..., z^(phi(r)-1) of
-Q[x]/(Phi_r(x)) with Fraction coefficients, where Phi_r is the r-th
-cyclotomic polynomial computed by exact recursive division of x^r - 1.
-All operations are exact; mixed orders are lifted to the lcm order
-through zeta_r = zeta_R^(R/r).
+Q[x]/(Phi_r(x)) as integer numerators over one positive denominator, in
+lowest terms, where Phi_r is the r-th cyclotomic polynomial computed by
+exact recursive division of x^r - 1.  All operations are exact, on ints;
+mixed orders are lifted to the lcm order through zeta_r = zeta_R^(R/r).
 
 Values produced by character computations stay in this representation
 end to end, so equality tests used by the decomposition routines are
@@ -69,33 +69,33 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], r: int) -> list[Fraction]:
+def _reduce_mod_phi(nums: list[int], r: int) -> list[int]:
+    """Integer coordinates of sum_k nums[k] x^k mod Phi_r: phi(r) of them."""
     phi = euler_phi(r)
     mod = cyclotomic_polynomial(r)
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
+    nums = list(nums)
+    for i in range(len(nums) - 1, phi - 1, -1):
+        c = nums[i]
         if c:
             for j, m in enumerate(mod):
-                coeffs[i - phi + j] -= c * m
-        coeffs.pop()
-    while len(coeffs) < phi:
-        coeffs.append(Fraction(0))
-    return coeffs
+                nums[i - phi + j] -= c * m
+        nums.pop()
+    nums.extend([0] * (phi - len(nums)))
+    return nums
 
 
 @lru_cache(maxsize=None)
-def _root_power_coeffs(r: int, k: int) -> tuple[Fraction, ...]:
+def _root_power_coeffs(r: int, k: int) -> tuple[int, ...]:
     """Power-basis coordinates of zeta_r^k."""
     k %= r
-    return tuple(_reduce_mod_phi([Fraction(0)] * k + [Fraction(1)], r))
+    return tuple(_reduce_mod_phi([0] * k + [1], r))
 
 
-def _substitute(coeffs, order: int, k: int) -> list[Fraction]:
-    """Power-basis coordinates in Q(zeta_order) of sum_j coeffs[j] *
+def _substitute(nums, order: int, k: int) -> list[int]:
+    """Power-basis coordinates in Q(zeta_order) of sum_j nums[j] *
     zeta_order^(j*k)."""
-    acc = [Fraction(0)] * euler_phi(order)
-    for j, a in enumerate(coeffs):
+    acc = [0] * euler_phi(order)
+    for j, a in enumerate(nums):
         if a:
             for i, c in enumerate(_root_power_coeffs(order, j * k)):
                 acc[i] += a * c
@@ -103,23 +103,45 @@ def _substitute(coeffs, order: int, k: int) -> list[Fraction]:
 
 
 class Cyclotomic(Immutable):
-    """An element of Q(zeta_order), immutable."""
+    """sum_k coeffs[k] * zeta_order^k / den in Q(zeta_order), immutable, held
+    as phi(order) int numerators nums over den >= 1, gcd(den, *nums) == 1.
+    Coefficients are exact: ints, Fractions, or strings Fraction reads."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs) -> None:
-        phi = euler_phi(order)
-        vec = list(coeffs)
-        if len(vec) > phi:
-            # ints stay ints through the reduction, which is then cheaper
-            vec = _reduce_mod_phi(
-                [c if isinstance(c, int) else Fraction(c) for c in vec], order
-            )
-        vec = [Fraction(c) for c in vec]
-        while len(vec) < phi:
-            vec.append(Fraction(0))
+    def __init__(self, order: int, coeffs, den: int = 1) -> None:
+        values = list(coeffs)
+        if any(isinstance(c, float) for c in values):
+            raise TypeError("coefficients must be exact, not float")
+        values = [Fraction(c) for c in values]
+        common = lcm(1, *(c.denominator for c in values))
+        nums = [c.numerator * (common // c.denominator) for c in values]
+        self._set(order, _reduce_mod_phi(nums, order), den * common)
+
+    def _set(self, order: int, nums: list[int], den: int) -> None:
+        """Store nums / den (phi(order) ints) in lowest terms, den > 0."""
+        if den == 0:
+            raise ZeroDivisionError("division by zero")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_ints(cls, order: int, nums: list[int], den: int) -> "Cyclotomic":
+        value = object.__new__(cls)
+        value._set(order, nums, den)
+        return value
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors -------------------------------------------------
 
@@ -129,16 +151,16 @@ class Cyclotomic(Immutable):
 
     @staticmethod
     def one(order: int = 1) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(1)])
+        return Cyclotomic(order, [1])
 
     @staticmethod
     def from_rational(value, order: int = 1) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(value)])
+        return Cyclotomic(order, [value])
 
     @staticmethod
     def root(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_order^k."""
-        return Cyclotomic(order, _root_power_coeffs(order, k))
+        return Cyclotomic._from_ints(order, _root_power_coeffs(order, k), 1)
 
     # -- order handling ------------------------------------------------
 
@@ -148,9 +170,8 @@ class Cyclotomic(Immutable):
             return self
         if new_order % self.order != 0:
             raise ValueError("can only lift to a multiple of the current order")
-        return Cyclotomic(
-            new_order, _substitute(self.coeffs, new_order, new_order // self.order)
-        )
+        nums = _substitute(self.nums, new_order, new_order // self.order)
+        return Cyclotomic._from_ints(new_order, nums, self.den)
 
     def _common(self, other: "Cyclotomic"):
         m = lcm(self.order, other.order)
@@ -166,55 +187,53 @@ class Cyclotomic(Immutable):
 
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the product of the denominators."""
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        nums = [x * db + sign * y * da for x, y in zip(a.nums, b.nums)]
+        return Cyclotomic._from_ints(a.order, nums, da * db)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-x for x in self.coeffs])
+        return Cyclotomic._from_ints(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, [x * f for x in self.coeffs])
+            nums = [x * other.numerator for x in self.nums]
+            return Cyclotomic._from_ints(self.order, nums, self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1 if a.coeffs else 1)
-        for i, x in enumerate(a.coeffs):
+        prod = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.nums):
                     if y:
                         prod[i + j] += x * y
-        return Cyclotomic(a.order, prod)
+        prod = _reduce_mod_phi(prod, a.order)
+        return Cyclotomic._from_ints(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / f)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        nums = [x * other.denominator for x in self.nums]
+        return Cyclotomic._from_ints(self.order, nums, self.den * other.numerator)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -237,7 +256,7 @@ class Cyclotomic(Immutable):
             return self
         if gcd(k, r) != 1:
             raise ValueError("automorphism exponent must be coprime to the order")
-        return Cyclotomic(r, _substitute(self.coeffs, r, k))
+        return Cyclotomic._from_ints(r, _substitute(self.nums, r, k), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^(-1)."""
@@ -248,18 +267,18 @@ class Cyclotomic(Immutable):
     # -- predicates and extraction ---------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational: %s" % self)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def integer_value(self) -> int:
         v = self.rational_value()
@@ -272,7 +291,7 @@ class Cyclotomic(Immutable):
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     # Equality spans orders, so there is no cheap consistent hash; the
     # library never uses values as dict keys.
@@ -310,7 +329,7 @@ class Cyclotomic(Immutable):
 
     @staticmethod
     def from_json(data: dict) -> "Cyclotomic":
-        return Cyclotomic(int(data["order"]), [Fraction(c) for c in data["coeffs"]])
+        return Cyclotomic(int(data["order"]), data["coeffs"])
 
     def complex_value(self) -> complex:
         """Floating approximation, for display only."""

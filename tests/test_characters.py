@@ -447,6 +447,10 @@ def test_rows_independent_rejects_dependent_rows():
     assert not rows_independent(summed)
 
 
+def test_rows_independent_certifies_the_empty_table():
+    assert rows_independent([])
+
+
 def test_rows_independent_rejects_denominator_divisible_by_prime():
     table = character_table(4, 2, 1, 2)
     ell, omega = _residue_field(4)

@@ -1,7 +1,8 @@
 """Static hygiene checks, standard library only: no module of the
 package imports a name it never uses, no function of it takes a
-parameter it never reads (dunder methods aside), and every name the
-package exports resolves."""
+parameter it never reads (dunder methods aside), every name the
+package exports resolves, and exact values keep one representation
+behind one module."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,23 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = sorted(unread_parameters(tree))
     assert not unread, "%s has unread parameters: %s" % (path.name, unread)
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_cyclotomic_imports_fractions():
+    """Exact values are integer numerators over one denominator; Fraction
+    appears only where cyclotomic.py takes and hands back coefficients."""
+    importers = [
+        path.name
+        for path in sorted(Path(gelfand.__file__).parent.glob("*.py"))
+        if "fractions" in imported_modules(ast.parse(path.read_text()))
+    ]
+    assert importers == ["cyclotomic.py"]
