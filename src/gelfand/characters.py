@@ -33,7 +33,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, isqrt, lcm
 
-from .classes import ConjugacyClass, class_positions, class_size, enumerate_classes
+from .classes import ConjugacyClass, class_positions, class_sizes, enumerate_classes
 from .colored import check_supported_group
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError
@@ -350,9 +350,8 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     f._same_group(g)
     order = f.r**f.n * factorial(f.n) // f.p
     total = Cyclotomic.zero(f.r)
-    classes = enumerate_classes(f.r, f.p, f.n)
-    for label, value, other in zip(classes, f.values, g.values):
-        total = total + value * other.conjugate() * class_size(label)
+    for value, other, size in zip(f.values, g.values, class_sizes(f.r, f.p, f.n)):
+        total = total + value * other.conjugate() * size
     return total / order
 
 

@@ -186,6 +186,12 @@ def class_positions(r: int, p: int, n: int) -> MappingProxyType:
     )
 
 
+@lru_cache(maxsize=None)
+def class_sizes(r: int, p: int, n: int) -> tuple[int, ...]:
+    """Size of each class of G(r,p,n), in enumerate_classes order."""
+    return tuple(class_size(label) for label in enumerate_classes(r, p, n))
+
+
 def normal_element(label: ConjugacyClass) -> ColoredPermutation:
     """Canonical class representative: cycles with consecutive supports,
     ordered by increasing color then decreasing length, colors placed on
@@ -393,6 +399,16 @@ def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
     return frozenset(out)
 
 
+def check_enumeration_order(r: int, n: int, max_order: int) -> None:
+    """The resource guard on the involution module: refuse r^n*n! above
+    max_order."""
+    if r**n * factorial(n) > max_order:
+        raise ResourceLimitError(
+            "involution enumeration needs r^n*n! <= %d (got %d)"
+            % (max_order, r**n * factorial(n))
+        )
+
+
 def enumerate_involution_classes(
     r: int, p: int, q: int, n: int, max_order: int = ENUMERATION_GUARD
 ) -> tuple[tuple[InvolutionClassType, tuple[ProjectiveElement, ...]], ...]:
@@ -403,11 +419,7 @@ def enumerate_involution_classes(
     the basis of its model.  Guarded by r^n·n! <= max_order.
     """
     check_group_parameters(r, p, q, n)
-    if r**n * factorial(n) > max_order:
-        raise ResourceLimitError(
-            "involution enumeration needs r^n*n! <= %d (got %d)"
-            % (max_order, r**n * factorial(n))
-        )
+    check_enumeration_order(r, n, max_order)
     lifts = symmetric_elements(r, n)
     if p % 2 == 0:
         lifts += antisymmetric_elements(r, n)

@@ -9,20 +9,24 @@ assumed: each block's trace must equal the sum of the table rows
 combinatorially predicted for it, once the rows are certified independent,
 and is otherwise decomposed against the table by exact inner products.
 
-A block's trace at g counts the basis vectors that |g| fixes by
-conjugation.  One sweep traces every block a verification needs: it
-buckets the vectors of all scopes by their perm, builds each class window
-once, keeps only the perms that commute with |g|, and in each such bucket
-finds the colorings that conjugation shifts by one scalar (by zero unless
-the basis is a quotient) by generating and looking up every such coloring,
-or by testing each member, whichever is fewer steps.  Each fixed point
-counts toward its own scope; model_character is the one-scope sweep.
+A block's trace at g counts the basis vectors that |g| fixes up to a
+scalar, and the verification computes it without building the basis.  A
+coset with perm pi is fixed exactly when pi commutes with |g| and
+conjugation shifts its colors by one multiple s of r/p, so each fixed
+coloring is one start color per orbit of <|g|, pi>.  The sweep generates
+the involutions pi that commute with |g| from its cycles, once per perm,
+describes each orbit by a descriptor and each (pi, s) by the sorted
+tuple of them, its signature, and computes the per-block exponent
+histogram of each distinct signature once per run, by a dynamic
+programme over the orbits.  The drivers take the block types and sizes
+from the identity column, where each block's trace is its size.
+model_character sums the swept block characters over a scope of a
+ModelBasis.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .characters import (
     ClassFunction,
@@ -35,6 +39,7 @@ from .characters import (
 from .classes import (
     ENUMERATION_GUARD,
     InvolutionClassType,
+    check_enumeration_order,
     enumerate_classes,
     enumerate_involution_classes,
     normal_element,
@@ -138,23 +143,22 @@ class ModelBasis(Immutable):
     def dimension(self) -> int:
         return len(self.elements)
 
-    def scope_indices(self, scope) -> tuple[int, ...]:
-        """Basis indices for a scope: 'all', 'M0', 'M1', or one type."""
+    def scope_types(self, scope) -> tuple[InvolutionClassType, ...]:
+        """Block types of a scope: 'all', 'M0', 'M1', or one type."""
         if isinstance(scope, InvolutionClassType):
             if scope not in self.blocks:
                 raise ValueError("no block with type %s" % scope)
-            return self.blocks[scope]
+            return (scope,)
         if scope == "all":
-            return tuple(range(self.dimension))
+            return self.types
         if scope in ("M0", "M1"):
             kind = "sym" if scope == "M0" else "asym"
-            return tuple(
-                i
-                for ctype in self.types
-                if ctype.kind == kind
-                for i in self.blocks[ctype]
-            )
+            return tuple(ctype for ctype in self.types if ctype.kind == kind)
         raise ValueError("scope must be 'all', 'M0', 'M1' or a type")
+
+    def scope_indices(self, scope) -> tuple[int, ...]:
+        """Basis indices for a scope: 'all', 'M0', 'M1', or one type."""
+        return tuple(i for ctype in self.scope_types(scope) for i in self.blocks[ctype])
 
 
 class ModelAction(Immutable):
@@ -235,170 +239,383 @@ def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
 
 
 def _class_window(label):
-    """Per-class constants of the block sweep, from the canonical
-    representative g of the class.
-
-    Returns g's 1-based perm, its 0-based perm G as a taker (see _taker),
-    the pairs (j, z) of g's nonzero colors z at 0-based positions j, its
-    color sum, the 0-based position |g|^{-1}(1), the cycles of G, the
-    shifts, and the number of candidate colorings.
-
-    The cycles of G start at their least positions, so the first passes
-    through position 0.  The shifts are the multiples s of step = r/p with
-    len(cycle)*s = 0 mod r on every cycle.  A least-lift coloring with
-    colors[G(j)] = colors[j] + s is fixed by s and its color at each
-    cycle's start, which is below step on the first cycle: that makes
-    len(shifts)*step*r^(cycles - 1) candidates.
-    """
+    """Per-class constants of the sweep, from the canonical representative
+    g of the class: its 0-based perm, its cycles as 0-based positions, each
+    from its least position and listed in order of it, the pairs (j, z) of
+    its nonzero colors z at 0-based positions j, and its color sum."""
     g = normal_element(label)
-    r = label.r
-    step = r // label.p
-    g0 = tuple(s - 1 for s in g.perm)
-    n = len(g0)
-    cycles = []
-    seen = [False] * n
-    for start in range(n):
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = g0[j]
-        if cycle:
-            cycles.append(tuple(cycle))
-    shifts = tuple(
-        s
-        for s in range(0, r, step)
-        if all(len(cycle) * s % r == 0 for cycle in cycles)
-    )
     return (
-        g.perm,
-        _taker(g0),
+        tuple(s - 1 for s in g.perm),
+        tuple(tuple(j - 1 for j, _ in cycle) for cycle in g.cycles()),
         tuple((j, z) for j, z in enumerate(g.colors) if z),
         g.color_sum(),
-        g.perm.index(1),
-        tuple(cycles),
-        shifts,
-        len(shifts) * step * r ** (len(cycles) - 1),
     )
 
 
-def _taker(perm0):
-    """The map t -> (t[perm0[0]], t[perm0[1]], ...) for a 0-based perm;
-    itemgetter alone returns a bare item, not a 1-tuple, when n = 1."""
-    return itemgetter(*perm0) if len(perm0) > 1 else tuple
+def _orbit(perm0, pairs, fixed, offsets, half: int, r: int, q: int):
+    """One orbit of <|g|, pi> as (descriptor part, placed offsets, parity).
 
-
-def _fixed_up_to_shift(colors, moved, r: int, step: int) -> bool:
-    """moved[j] = colors[j] + s for every j, for one multiple s of step."""
-    shift = (moved[0] - colors[0]) % r
-    return shift % step == 0 and all(
-        (m - c) % r == shift for m, c in zip(moved, colors)
+    pairs lists pi's 2-cycles on the orbit and fixed its fixed points;
+    offsets maps each position to its color less the orbit's start color.
+    The descriptor part holds the offsets of the fixed points, the offsets
+    at the smaller end of each 2-cycle (mod r/2 for an antisymmetric pi,
+    where half = r/2), the orbit's size and offset sum mod q, and whether
+    it holds position 0.  The parity counts the 2-cycles (a, b), a < b,
+    that |g| inverts.
+    """
+    modulus = r // 2 if half else r
+    return (
+        (
+            tuple(sorted(offsets[j] for j in fixed)),
+            tuple(sorted(offsets[min(a, b)] % modulus for a, b in pairs)),
+            len(offsets) % q,
+            sum(offsets.values()) % q,
+            0 in offsets,
+        ),
+        offsets,
+        sum(perm0[min(a, b)] > perm0[max(a, b)] for a, b in pairs) % 2,
     )
 
 
-def _shifted_colorings(cycles, shifts, r: int, step: int):
-    """Every least-lift coloring with colors[G(j)] = colors[j] + s on the
-    cycles of G, for each shift s."""
-    n = sum(len(cycle) for cycle in cycles)
+def _commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
+    """Every involution pi commuting with the 0-based perm perm0, of the
+    given cycles, whose colorings can be fixed up to the shift s, as its
+    tuple of orbits (see _orbit).
+
+    pi maps each cycle C of perm0 onto a cycle of the same length: it fixes
+    C pointwise (symmetric pi only), turns C by half its length L, or swaps
+    C with a later L-cycle C' at one of L offsets.  A step along |g| adds s
+    to the color, a step along pi adds half (0, or r/2 when pi is
+    antisymmetric); the half-turn closes only when (L/2)*s = half mod r.
+    Each cycle starts at its least position, so each orbit does too.
+    """
+
+    def walk(cycle, start=0, base=0):
+        return {j: (base + (k - start) * s) % r for k, j in enumerate(cycle)}
+
+    def choices(remaining):
+        if not remaining:
+            yield ()
+            return
+        cycle, rest = cycles[remaining[0]], remaining[1:]
+        length = len(cycle)
+        heads = []
+        if not half:
+            heads.append((_orbit(perm0, (), cycle, walk(cycle), half, r, q), rest))
+        if length % 2 == 0 and length // 2 * s % r == half:
+            turned = tuple(zip(cycle[: length // 2], cycle[length // 2 :]))
+            heads.append((_orbit(perm0, turned, (), walk(cycle), half, r, q), rest))
+        for i, other in enumerate(rest):
+            partner = cycles[other]
+            if len(partner) != length:
+                continue
+            for t in range(length):
+                offsets = walk(cycle)
+                offsets.update(walk(partner, t, half))
+                swapped = tuple(
+                    (cycle[k], partner[(k + t) % length]) for k in range(length)
+                )
+                heads.append(
+                    (
+                        _orbit(perm0, swapped, (), offsets, half, r, q),
+                        rest[:i] + rest[i + 1 :],
+                    )
+                )
+        for head, others in heads:
+            for tail in choices(others):
+                yield (head,) + tail
+
+    return choices(tuple(range(len(cycles))))
+
+
+def _perm_structures(perm0, cycles, r: int, p: int, q: int, twist: bool) -> list[tuple]:
+    """Every (pi, s) that can fix a basis coset under any g with perm
+    perm0, of the given cycles, with what the sweep needs of it for each
+    class of that perm.
+
+    s runs over the multiples of r/p that close every cycle of perm0, and
+    antisymmetric pi occur only when p is even.  Each entry holds the kind,
+    the descriptor parts, the map from a position to its (orbit, offset),
+    the sign (-1)^parity of a symmetric pi, and the exponent added to every
+    fixed point: s for an antisymmetric pi under the twist, whose transfer
+    statistic reads positions 0 and |g|^{-1}(0) on one |g|-cycle.
+    """
+    lengths = {len(cycle) for cycle in cycles}
+    shifts = [
+        s for s in range(0, r, r // p) if all(length * s % r == 0 for length in lengths)
+    ]
     out = []
-    for s in shifts:
-        for starts in product(range(step), *[range(r)] * (len(cycles) - 1)):
-            colors = [0] * n
-            for c, cycle in zip(starts, cycles):
-                for k, j in enumerate(cycle):
-                    colors[j] = (c + k * s) % r
-            out.append(tuple(colors))
+    for kind, half in (("sym", 0), ("asym", r // 2)):
+        if kind == "asym" and p % 2:
+            continue
+        for s in shifts:
+            extra = s if kind == "asym" and twist else 0
+            for orbits in _commuting_involutions(perm0, cycles, s, half, r, q):
+                where = {}
+                for o, (_, offsets, _) in enumerate(orbits):
+                    for j, offset in offsets.items():
+                        where[j] = (o, offset)
+                inverted = sum(parity for _, _, parity in orbits) % 2
+                sign = -1 if kind == "sym" and inverted else 1
+                parts = tuple(part for part, _, _ in orbits)
+                out.append((kind, parts, where, sign, extra))
     return out
 
 
+class _Sweep:
+    """The per-run state of the block sweep of G(r,p,q,n): each signature's
+    histogram, the states of the signature suffixes they are built from,
+    and the raw type -> block map.
+
+    A descriptor is an orbit's descriptor part (see _orbit) followed by
+    S = sum of g's colors on the orbit and T = sum of each color times its
+    offset, both mod r.  A fixed coloring gives the orbit one start color
+    c, below r/p on the orbit that holds position 0 (the least lift) and
+    free otherwise; its fixed points and 2-cycles then take the colors
+    c + offset, its colors sum to size*c + offset sum, and it adds c*S + T
+    to the exponent.  The states of a run of orbits map each packed raw
+    type (its fixed-point and 2-cycle color counts, one base n+1 digit
+    each) to its counts by (color sum mod q, exponent mod r), flattened;
+    a signature's histogram keeps the color sums 0 mod q.
+    """
+
+    def __init__(self, r: int, p: int, q: int, n: int) -> None:
+        self.r, self.p, self.q = r, p, q
+        self.radix = n + 1
+        self.moves: dict[tuple, list] = {}
+        self.shifters: dict[tuple[int, int], itemgetter] = {}
+        self.states: dict[tuple, dict] = {(): {0: (1,) + (0,) * (q * r - 1)}}
+        self.histograms: dict[tuple, list] = {}
+        self.blocks: dict[tuple, int] = {}
+        self.numbers: dict[InvolutionClassType, int] = {}
+
+    def _shifter(self, dsum: int, dexp: int):
+        """The map from flattened counts to the counts with dsum added to
+        every color sum and dexp to every exponent."""
+        shifter = self.shifters.get((dsum, dexp))
+        if shifter is None:
+            q, r = self.q, self.r
+            sources = [
+                (color_sum - dsum) % q * r + (exponent - dexp) % r
+                for color_sum in range(q)
+                for exponent in range(r)
+            ]
+            # itemgetter returns a bare item, not a 1-tuple, for one index
+            shifter = itemgetter(*sources) if len(sources) > 1 else tuple
+            self.shifters[(dsum, dexp)] = shifter
+        return shifter
+
+    def _moves(self, kind, descriptor) -> list[tuple[int, itemgetter]]:
+        """(packed raw type, shifter) added by each start color."""
+        key = (kind, descriptor)
+        moves = self.moves.get(key)
+        if moves is None:
+            r, q, radix = self.r, self.q, self.radix
+            fixed, pairs, size, offset_sum, holds_zero, total, weighted = descriptor
+            if kind == "sym":
+                slot, base = r, r
+            else:
+                slot, base = r // 2, 0
+            moves = self.moves[key] = [
+                (
+                    sum(radix ** ((c + o) % r) for o in fixed)
+                    + sum(radix ** (base + (c + o) % slot) for o in pairs),
+                    self._shifter((size * c + offset_sum) % q, (c * total + weighted) % r),
+                )
+                for c in range(r // self.p if holds_zero else r)
+            ]
+        return moves
+
+    def _extend(self, kind, descriptor, states) -> dict:
+        """The states of one more orbit followed by the given ones."""
+        out: dict[int, tuple] = {}
+        for dcode, shift in self._moves(kind, descriptor):
+            for code, counts in states.items():
+                moved = shift(counts)
+                code += dcode
+                old = out.get(code)
+                out[code] = moved if old is None else tuple(map(add, old, moved))
+        return out
+
+    def _states(self, kind, signature) -> dict:
+        """The states of a signature suffix, memoized: suffixes recur."""
+        key = (kind, signature) if signature else ()
+        states = self.states.get(key)
+        if states is None:
+            states = self.states[key] = self._extend(
+                kind, signature[0], self._states(kind, signature[1:])
+            )
+        return states
+
+    def histogram(self, kind, signature) -> list[tuple[int, tuple[int, ...]]]:
+        """(block number, exponent histogram) for every block met by the
+        colorings that one (pi, s) with this signature fixes.  A whole
+        signature is no suffix of another, so its states are not kept."""
+        key = (kind, signature)
+        histogram = self.histograms.get(key)
+        if histogram is None:
+            r = self.r
+            merged: dict[int, tuple] = {}
+            states = self._extend(kind, signature[0], self._states(kind, signature[1:]))
+            for code, counts in states.items():
+                counts = counts[:r]
+                if any(counts):
+                    number = self.block(kind, code)
+                    old = merged.get(number)
+                    merged[number] = counts if old is None else tuple(map(add, old, counts))
+            histogram = self.histograms[key] = list(merged.items())
+        return histogram
+
+    def block(self, kind, code) -> int:
+        """The number of the block of a packed raw type: its
+        InvolutionClassType's number in self.numbers, in order of first
+        sight."""
+        key = (kind, code)
+        number = self.blocks.get(key)
+        if number is None:
+            r = self.r
+            digits = []
+            for _ in range(2 * r if kind == "sym" else r // 2):
+                code, digit = divmod(code, self.radix)
+                digits.append(digit)
+            if kind == "sym":
+                raw = (tuple(digits[:r]), tuple(digits[r:]), None)
+            else:
+                raw = (None, None, tuple(digits))
+            ctype = InvolutionClassType(r, self.p, kind, *raw)
+            number = self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
+        return number
+
+    def column(self, structures, nonzero) -> dict[int, list[int]]:
+        """{block number: exponent histogram} of every block at one class,
+        from the structures of its perm and its nonzero colors."""
+        r = self.r
+        weights: dict[tuple, int] = {}
+        for kind, parts, where, sign, extra in structures:
+            descriptors = [part + (0, 0) for part in parts]
+            touched = {}
+            for j, z in nonzero:
+                o, offset = where[j]
+                total, weighted = touched.get(o, (0, 0))
+                touched[o] = (total + z, weighted + z * offset)
+            for o, (total, weighted) in touched.items():
+                descriptors[o] = parts[o] + (total % r, weighted % r)
+            key = (kind, tuple(sorted(descriptors)), extra)
+            weights[key] = weights.get(key, 0) + sign
+        column: dict[int, list[int]] = {}
+        zero = (0,) * r
+        for (kind, signature, extra), weight in weights.items():
+            if not weight:
+                continue
+            for number, counts in self.histogram(kind, signature):
+                if extra:
+                    # the exponent e moves to e + extra
+                    counts = counts[-extra:] + counts[:-extra]
+                if weight != 1:
+                    counts = [weight * count for count in counts]
+                column[number] = list(map(add, column.get(number, zero), counts))
+        return column
+
+
+def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True, max_order=ENUMERATION_GUARD):
+    """Every block's exponent histogram at every class of G(r,p,n), in
+    enumerate_classes order, as {type: [histogram per class]}.
+
+    A coset v is fixed by g exactly when |v| = pi commutes with |g| and
+    conjugation shifts v's colors by one multiple s of r/p; its scalar is
+    then the signed pairing, plus s when v is antisymmetric and twisted.
+    The fixed colorings of one (pi, s) depend only on the signature of the
+    orbits of <|g|, pi> (see _Sweep), so each signature's histogram is
+    computed once per run, and each class adds up its (pi, s) by
+    signature.  The (pi, s) depend only on |g|: they are built once per
+    perm and dropped when its classes are done.  Checked by the guard
+    max_order on r^n*n!, unless it is None.
+    """
+    if max_order is not None:
+        check_enumeration_order(r, n, max_order)
+    labels = enumerate_classes(r, p, n)
+    windows = [_class_window(label) for label in labels]
+    # every basis coset has scalar order p, so a lift changes the colors by
+    # a multiple of r/p
+    for *_, color_sum in windows:
+        if color_sum * (r // p) % r:
+            raise ValueError("pairing is not lift-independent for this pair")
+    by_perm: dict[tuple, list[int]] = {}
+    for k, (perm0, *_) in enumerate(windows):
+        by_perm.setdefault(perm0, []).append(k)
+    sweep = _Sweep(r, p, q, n)
+    columns = [None] * len(labels)
+    for perm0, members in by_perm.items():
+        cycles = windows[members[0]][1]
+        structures = _perm_structures(perm0, cycles, r, p, q, twist)
+        for k in members:
+            columns[k] = sweep.column(structures, windows[k][2])
+    zero = [0] * r
+    return {
+        ctype: [column.get(number, zero) for column in columns]
+        for ctype, number in sorted(sweep.numbers.items())
+    }
+
+
+def _scope_characters(r: int, p: int, n: int, histograms, groups) -> list[ClassFunction]:
+    """The character of each group of blocks, class by class the sum of its
+    blocks' histograms; one Cyclotomic per distinct histogram."""
+    zero = [(0,) * r] * len(enumerate_classes(r, p, n))
+    values: dict[tuple, Cyclotomic] = {}
+    out = []
+    for group in groups:
+        column = []
+        for cells in zip(*[histograms[ctype] for ctype in group] or [zero]):
+            histogram = tuple(map(sum, zip(*cells)))
+            if histogram not in values:
+                values[histogram] = Cyclotomic(r, histogram)
+            column.append(values[histogram])
+        out.append(ClassFunction(r, p, n, column))
+    return out
+
+
+def _block_sizes(histograms) -> dict:
+    """Each block's size: its trace at the identity class, which
+    enumerate_classes lists last and where every coset is fixed with
+    scalar 1."""
+    sizes = {}
+    for ctype, columns in histograms.items():
+        size, *rest = columns[-1]
+        if size <= 0 or any(rest):
+            raise InconsistencyError(
+                "block %s has trace %s at the identity" % (ctype, columns[-1])
+            )
+        sizes[ctype] = size
+    return sizes
+
+
 def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> ClassFunction:
-    """Trace of the action on a scope, as a class function on G(r,p,n)."""
+    """Trace of the action on a scope, as a class function on G(r,p,n):
+    the sum of the scope's block characters."""
     return _block_characters(basis, [scope], twist)[0]
 
 
 def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[ClassFunction]:
-    """The traces of the action on disjoint scopes, in one sweep.
+    """The traces of the action on disjoint scopes, from one sweep.
 
-    Evaluated at the canonical representative g of each class; only basis
-    vectors fixed by the conjugation contribute their scalar, a signed
-    r-th root of unity, summed as a histogram per (class, scope).
-
-    The vectors of all scopes are bucketed by their perm, each mapping its
-    least lift's colors to its scope and kind; a coset met twice means the
-    scopes overlap.  |g| v |g|^{-1} has the perm of v exactly when |v|
-    commutes with |g|, which is tested once per (class, perm); the sign of
-    a symmetric vector depends only on the perms, so it is found there too.
-    In a commuting bucket the fixed vectors are the colorings with
-    colors[G(j)] = colors[j] + s for one of the class's shifts s (see
-    _class_window; s = 0 unless the basis is a quotient).  The bucket finds
-    them by whichever way takes fewer steps: look up every such coloring,
-    or test each member.
+    Every vector of the scopes must be symmetric or antisymmetric, the
+    scopes may share no block, and the sweep's block sizes must be the
+    basis's.
     """
-    r = basis.r
-    step = r // basis.p
-    windows = [_class_window(label) for label in enumerate_classes(r, basis.p, basis.n)]
-    # every basis coset has scalar order basis.p, so a lift changes the
-    # colors by a multiple of step
-    for _, _, _, color_sum, *_ in windows:
-        if color_sum * step % r:
-            raise ValueError("pairing is not lift-independent for this pair")
-    # perm -> (its taker, {least lift's colors: (scope number, symmetric?)})
-    buckets: dict[tuple, tuple] = {}
-    for k, scope in enumerate(scopes):
+    for scope in scopes:
         for i in basis.scope_indices(scope):
-            rep = basis.elements[i].rep
-            kind = rep.symmetry_kind()
-            if kind == "neither":
+            if basis.elements[i].rep.symmetry_kind() == "neither":
                 raise ValueError("basis element is neither symmetric nor antisymmetric")
-            if rep.perm not in buckets:
-                buckets[rep.perm] = (_taker([j - 1 for j in rep.perm]), {})
-            members = buckets[rep.perm][1]
-            if rep.colors in members:
-                raise ValueError("scopes overlap")
-            members[rep.colors] = (k, kind == "symmetric")
-    # one Cyclotomic per distinct histogram: the cells repeat few values
-    values: dict[tuple, Cyclotomic] = {}
-    columns = []
-    for g_perm, take, g_nonzero, _, source, cycles, shifts, candidates in windows:
-        counts = [[0] * r for _ in scopes]
-        colorings = None
-        for v_perm, (v_take, members) in buckets.items():
-            # |v|(|g|(j)) == |g|(|v|(j)) for every j
-            if take(v_perm) != v_take(g_perm):
-                continue
-            sign = -1 if _inversions(g_perm, v_perm) % 2 else 1
-            if candidates < len(members):
-                if colorings is None:
-                    colorings = _shifted_colorings(cycles, shifts, r, step)
-                fixed = [
-                    (colors, members[colors])
-                    for colors in colorings
-                    if colors in members
-                ]
-            else:
-                # |g| v |g|^{-1} has the colors take(colors): colors[G(j)] at j
-                fixed = [
-                    (colors, member)
-                    for colors, member in members.items()
-                    if (moved := take(colors)) == colors
-                    or (len(shifts) > 1 and _fixed_up_to_shift(colors, moved, r, step))
-                ]
-            for colors, (k, symmetric) in fixed:
-                exponent = sum(z * colors[j] for j, z in g_nonzero) % r
-                if symmetric:
-                    counts[k][exponent] += sign
-                else:
-                    if twist:
-                        exponent = (exponent + _transfer(colors, source, r)) % r
-                    counts[k][exponent] += 1
-        column = []
-        for histogram in map(tuple, counts):
-            if histogram not in values:
-                values[histogram] = Cyclotomic(r, histogram)
-            column.append(values[histogram])
-        columns.append(column)
-    return [ClassFunction(r, basis.p, basis.n, column) for column in zip(*columns)]
+    groups = [basis.scope_types(scope) for scope in scopes]
+    claimed = [ctype for group in groups for ctype in group]
+    if len(set(claimed)) != len(claimed):
+        raise ValueError("scopes overlap")
+    # the basis exists, so the guard was met when it was built
+    histograms = _type_histograms(basis.r, basis.p, basis.q, basis.n, twist, None)
+    sizes = _block_sizes(histograms)
+    if sizes != {ctype: len(basis.blocks[ctype]) for ctype in basis.types}:
+        raise InconsistencyError("swept block sizes differ from the basis")
+    return _scope_characters(basis.r, basis.p, basis.n, histograms, groups)
 
 
 def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]:
@@ -466,21 +683,24 @@ class VerificationReport(Immutable):
         }
 
 
-def _basis_and_table(r: int, p: int, q: int, n: int, max_order: int):
-    """The model basis and the character table of G(r,p,q,n), after the
-    global anchor: the basis size equals the sum of the irreducible
-    degrees, and whether the table's rows are certified independent.
-    Unsupported groups are refused before the basis is built."""
+def _blocks_and_table(r: int, p: int, q: int, n: int, max_order: int):
+    """Every block's histograms (see _type_histograms) and size, and the
+    character table of G(r,p,q,n), after the global anchor: the block
+    sizes sum to the sum of the irreducible degrees.  Also whether the
+    table's rows are certified independent.  Unsupported groups are
+    refused before the sweep."""
     check_supported_group(r, p, q, n)
-    basis = ModelBasis(r, p, q, n, max_order)
+    histograms = _type_histograms(r, p, q, n, max_order=max_order)
+    sizes = _block_sizes(histograms)
     table = character_table(r, p, q, n)
+    dimension = sum(sizes.values())
     degree_sum = sum(label_degree(label) for label, _ in table)
-    if degree_sum != basis.dimension:
+    if degree_sum != dimension:
         raise InconsistencyError(
             "model dimension %d differs from total degree %d"
-            % (basis.dimension, degree_sum)
+            % (dimension, degree_sum)
         )
-    return basis, table, rows_independent(table)
+    return histograms, sizes, table, rows_independent(table)
 
 
 def verify_class_decomposition(
@@ -496,24 +716,23 @@ def verify_class_decomposition(
     When the table's rows are certified independent, a block whose
     character equals the sum of its predicted rows is proved to match
     without projecting; any other block is decomposed by inner products.
-    Also checks the global consistency anchors: the basis size equals the
-    sum of the irreducible degrees, and block sizes sum to the dimension.
-    Pass only=type to restrict the report to one block.
+    Also checks the global consistency anchor: the block sizes, read from
+    the identity column, sum to the sum of the irreducible degrees.  Pass
+    only=type to restrict the report to one block.
     """
-    basis, table, certified = _basis_and_table(r, p, q, n, max_order)
+    histograms, sizes, table, certified = _blocks_and_table(r, p, q, n, max_order)
     if only is None:
-        targets = basis.types
-    elif only in basis.blocks:
+        targets = tuple(histograms)
+    elif only in histograms:
         targets = (only,)
     else:
         raise ValueError("no involution class of type %s" % only)
+    characters = _scope_characters(r, p, n, histograms, [(ctype,) for ctype in targets])
     entries = []
-    for ctype, character in zip(targets, _block_characters(basis, targets)):
+    for ctype, character in zip(targets, characters):
         predicted = predicted_labels(ctype)
         computed = decompose(character, table, predicted if certified else None)
-        entries.append(
-            ClassVerification(ctype, len(basis.blocks[ctype]), predicted, computed)
-        )
+        entries.append(ClassVerification(ctype, sizes[ctype], predicted, computed))
     return VerificationReport(r, p, q, n, entries)
 
 
@@ -525,13 +744,12 @@ def gelfand_check(
     Returns (rows, passed): rows lists (IrreducibleLabel, multiplicity) for
     every table row, and passed is True exactly when every multiplicity is 1.
     Checks the same dimension anchor as verify_class_decomposition.  The
-    full character goes through decompose, expecting every row once when
-    the rows are certified independent.
+    full character, the sum of every block's, goes through decompose,
+    expecting every row once when the rows are certified independent.
     """
-    basis, table, certified = _basis_and_table(r, p, q, n, max_order)
+    histograms, _, table, certified = _blocks_and_table(r, p, q, n, max_order)
     labels = [label for label, _ in table]
-    mults = dict(
-        decompose(model_character(basis, "all"), table, labels if certified else None)
-    )
+    (full,) = _scope_characters(r, p, n, histograms, [tuple(histograms)])
+    mults = dict(decompose(full, table, labels if certified else None))
     rows = [(label, mults.get(label, 0)) for label in labels]
     return rows, all(mult == 1 for _, mult in rows)

@@ -4,14 +4,18 @@ the object-level trace loop, the former window loop and the projection
 path, and the antisymmetric cycle-pairing machinery."""
 
 import random
+from functools import cache
+from itertools import product
+from math import comb, factorial, gcd
+from operator import itemgetter
 from types import SimpleNamespace
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gelfand.characters
+import gelfand.classes
 import gelfand.model
 from gelfand.antisymmetric import (
     a_sets,
@@ -23,12 +27,14 @@ from gelfand.characters import (
     ClassFunction,
     character_table,
     decompose,
+    inner_product,
     label_degree,
     rows_independent,
 )
 from gelfand.classes import (
     ConjugacyClass,
     InvolutionClassType,
+    class_size,
     enumerate_classes,
     normal_element,
 )
@@ -51,9 +57,11 @@ from gelfand.model import (
     ModelBasis,
     _action_scalar,
     _block_characters,
+    _block_sizes,
     _inversions,
     _pairing,
     _transfer,
+    _type_histograms,
     a_statistic,
     gelfand_check,
     inv_statistic,
@@ -327,6 +335,278 @@ def _window_model_character(basis, scope="all", twist=True):
     )
 
 
+def _bucket_class_window(label):
+    """Per-class constants of the block sweep, from the canonical
+    representative g of the class.
+
+    Returns g's 1-based perm, its 0-based perm G as a taker (see _taker),
+    the pairs (j, z) of g's nonzero colors z at 0-based positions j, its
+    color sum, the 0-based position |g|^{-1}(1), the cycles of G, the
+    shifts, and the number of candidate colorings.
+
+    The cycles of G start at their least positions, so the first passes
+    through position 0.  The shifts are the multiples s of step = r/p with
+    len(cycle)*s = 0 mod r on every cycle.  A least-lift coloring with
+    colors[G(j)] = colors[j] + s is fixed by s and its color at each
+    cycle's start, which is below step on the first cycle: that makes
+    len(shifts)*step*r^(cycles - 1) candidates.
+    """
+    g = normal_element(label)
+    r = label.r
+    step = r // label.p
+    g0 = tuple(s - 1 for s in g.perm)
+    n = len(g0)
+    cycles = []
+    seen = [False] * n
+    for start in range(n):
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = g0[j]
+        if cycle:
+            cycles.append(tuple(cycle))
+    shifts = tuple(
+        s
+        for s in range(0, r, step)
+        if all(len(cycle) * s % r == 0 for cycle in cycles)
+    )
+    return (
+        g.perm,
+        _taker(g0),
+        tuple((j, z) for j, z in enumerate(g.colors) if z),
+        g.color_sum(),
+        g.perm.index(1),
+        tuple(cycles),
+        shifts,
+        len(shifts) * step * r ** (len(cycles) - 1),
+    )
+
+
+def _taker(perm0):
+    """The map t -> (t[perm0[0]], t[perm0[1]], ...) for a 0-based perm;
+    itemgetter alone returns a bare item, not a 1-tuple, when n = 1."""
+    return itemgetter(*perm0) if len(perm0) > 1 else tuple
+
+
+def _fixed_up_to_shift(colors, moved, r: int, step: int) -> bool:
+    """moved[j] = colors[j] + s for every j, for one multiple s of step."""
+    shift = (moved[0] - colors[0]) % r
+    return shift % step == 0 and all(
+        (m - c) % r == shift for m, c in zip(moved, colors)
+    )
+
+
+def _shifted_colorings(cycles, shifts, r: int, step: int):
+    """Every least-lift coloring with colors[G(j)] = colors[j] + s on the
+    cycles of G, for each shift s."""
+    n = sum(len(cycle) for cycle in cycles)
+    out = []
+    for s in shifts:
+        for starts in product(range(step), *[range(r)] * (len(cycles) - 1)):
+            colors = [0] * n
+            for c, cycle in zip(starts, cycles):
+                for k, j in enumerate(cycle):
+                    colors[j] = (c + k * s) % r
+            out.append(tuple(colors))
+    return out
+
+
+def _bucket_block_characters(basis, scopes, twist=True):
+    """The traces of the action on disjoint scopes, in one sweep over the
+    basis.  Verbatim the implementation before block characters came from
+    orbit signatures, but for the names of its helpers.
+
+    Evaluated at the canonical representative g of each class; only basis
+    vectors fixed by the conjugation contribute their scalar, a signed
+    r-th root of unity, summed as a histogram per (class, scope).
+
+    The vectors of all scopes are bucketed by their perm, each mapping its
+    least lift's colors to its scope and kind; a coset met twice means the
+    scopes overlap.  |g| v |g|^{-1} has the perm of v exactly when |v|
+    commutes with |g|, which is tested once per (class, perm); the sign of
+    a symmetric vector depends only on the perms, so it is found there too.
+    In a commuting bucket the fixed vectors are the colorings with
+    colors[G(j)] = colors[j] + s for one of the class's shifts s (see
+    _bucket_class_window; s = 0 unless the basis is a quotient).  The bucket finds
+    them by whichever way takes fewer steps: look up every such coloring,
+    or test each member.
+    """
+    r = basis.r
+    step = r // basis.p
+    windows = [_bucket_class_window(label) for label in enumerate_classes(r, basis.p, basis.n)]
+    # every basis coset has scalar order basis.p, so a lift changes the
+    # colors by a multiple of step
+    for _, _, _, color_sum, *_ in windows:
+        if color_sum * step % r:
+            raise ValueError("pairing is not lift-independent for this pair")
+    # perm -> (its taker, {least lift's colors: (scope number, symmetric?)})
+    buckets: dict[tuple, tuple] = {}
+    for k, scope in enumerate(scopes):
+        for i in basis.scope_indices(scope):
+            rep = basis.elements[i].rep
+            kind = rep.symmetry_kind()
+            if kind == "neither":
+                raise ValueError("basis element is neither symmetric nor antisymmetric")
+            if rep.perm not in buckets:
+                buckets[rep.perm] = (_taker([j - 1 for j in rep.perm]), {})
+            members = buckets[rep.perm][1]
+            if rep.colors in members:
+                raise ValueError("scopes overlap")
+            members[rep.colors] = (k, kind == "symmetric")
+    # one Cyclotomic per distinct histogram: the cells repeat few values
+    values: dict[tuple, Cyclotomic] = {}
+    columns = []
+    for g_perm, take, g_nonzero, _, source, cycles, shifts, candidates in windows:
+        counts = [[0] * r for _ in scopes]
+        colorings = None
+        for v_perm, (v_take, members) in buckets.items():
+            # |v|(|g|(j)) == |g|(|v|(j)) for every j
+            if take(v_perm) != v_take(g_perm):
+                continue
+            sign = -1 if _inversions(g_perm, v_perm) % 2 else 1
+            if candidates < len(members):
+                if colorings is None:
+                    colorings = _shifted_colorings(cycles, shifts, r, step)
+                fixed = [
+                    (colors, members[colors])
+                    for colors in colorings
+                    if colors in members
+                ]
+            else:
+                # |g| v |g|^{-1} has the colors take(colors): colors[G(j)] at j
+                fixed = [
+                    (colors, member)
+                    for colors, member in members.items()
+                    if (moved := take(colors)) == colors
+                    or (len(shifts) > 1 and _fixed_up_to_shift(colors, moved, r, step))
+                ]
+            for colors, (k, symmetric) in fixed:
+                exponent = sum(z * colors[j] for j, z in g_nonzero) % r
+                if symmetric:
+                    counts[k][exponent] += sign
+                else:
+                    if twist:
+                        exponent = (exponent + _transfer(colors, source, r)) % r
+                    counts[k][exponent] += 1
+        column = []
+        for histogram in map(tuple, counts):
+            if histogram not in values:
+                values[histogram] = Cyclotomic(r, histogram)
+            column.append(values[histogram])
+        columns.append(column)
+    return [ClassFunction(r, basis.p, basis.n, column) for column in zip(*columns)]
+
+
+# every supported basis group with r <= 6 and n <= 4, as basis-group flags:
+# the acting group G(r,q,n) needs GCD(q,n) <= 2
+SMALL_BASES = [
+    (r, p, q, n)
+    for r in range(1, 7)
+    for n in range(1, 5)
+    for p in range(1, r + 1)
+    for q in range(1, r + 1)
+    if r % p == 0 and r % q == 0 and r * n % (p * q) == 0 and gcd(q, n) <= 2
+]
+
+# the decompose and gelfand-check panels of perfbench
+PANEL_BASES = [(2, 1, 2, 6), (4, 1, 2, 4), (6, 1, 2, 3), (2, 1, 1, 7), (3, 1, 1, 5)]
+
+
+@pytest.mark.parametrize(
+    "flags", sorted(set(SMALL_BASES + DIFFERENTIAL_BASES + PANEL_BASES)), ids=_flags_id
+)
+def test_signature_sweep_matches_bucket_sweep(flags, monkeypatch):
+    basis = _basis_from_flags(*flags)
+    # one sweep per twist serves all three scope sets
+    monkeypatch.setattr(gelfand.model, "_type_histograms", cache(_type_histograms))
+    for twist in (True, False):
+        for scopes in (basis.types, ("M0", "M1"), ("all",)):
+            ours = _block_characters(basis, scopes, twist)
+            assert ours == _bucket_block_characters(basis, scopes, twist), (scopes, twist)
+
+
+@pytest.mark.parametrize("flags", DIFFERENTIAL_BASES + PANEL_BASES, ids=_flags_id)
+def test_identity_column_gives_the_block_sizes(flags):
+    r, p, q, n = flags
+    basis = _basis_from_flags(*flags)
+    sizes = _block_sizes(_type_histograms(r, q, p, n))
+    assert tuple(sizes) == basis.types
+    assert sizes == {ctype: len(basis.blocks[ctype]) for ctype in basis.types}
+
+
+def _involution_count(r, n):
+    """Absolute involutions of G(r,n): k 2-cycles on 2k of the n letters,
+    one color per cycle."""
+    return sum(
+        comb(n, 2 * k) * factorial(2 * k) // (2**k * factorial(k)) * r ** (n - k)
+        for k in range(n // 2 + 1)
+    )
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_identity_column_sums_to_the_involution_count(r, monkeypatch):
+    # only the identity class, which enumerate_classes lists last: the
+    # sizes need no other column, and 5 1 1 7 is past the default guard
+    monkeypatch.setattr(
+        gelfand.model, "enumerate_classes", lambda r, p, n: enumerate_classes(r, p, n)[-1:]
+    )
+    for n in range(1, 8):
+        sizes = _block_sizes(_type_histograms(r, 1, 1, n, max_order=None))
+        assert sum(sizes.values()) == _involution_count(r, n), n
+
+
+def test_drivers_enumerate_no_involution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("involutions enumerated")
+
+    monkeypatch.setattr(gelfand.model, "ModelBasis", refuse)
+    monkeypatch.setattr(gelfand.model, "enumerate_involution_classes", refuse)
+    monkeypatch.setattr(gelfand.classes, "enumerate_involution_classes", refuse)
+    assert verify_class_decomposition(2, 2, 1, 6).passed
+    assert gelfand_check(2, 1, 1, 6)[1]
+
+
+def test_guard_runs_before_the_sweep(monkeypatch, capsys):
+    def refuse(label):
+        raise AssertionError("sweep started past the guard")
+
+    monkeypatch.setattr(gelfand.model, "_class_window", refuse)
+    for driver in (verify_class_decomposition, gelfand_check):
+        with pytest.raises(ResourceLimitError, match=r"r\^n\*n! <= 10 \(got 384\)"):
+            driver(2, 1, 1, 4, max_order=10)
+    argv = ["model", "decompose", "--r", "2", "--p", "1", "--q", "1", "--n", "4"]
+    assert main(argv + ["--max-group-order", "10"]) == 2
+    assert "resource limit: involution enumeration" in capsys.readouterr().err
+
+
+def _reference_inner_product(f, g):
+    """inner_product with one class_size call per class.  Verbatim the
+    implementation before the class sizes were cached."""
+    f._same_group(g)
+    order = f.r**f.n * factorial(f.n) // f.p
+    total = Cyclotomic.zero(f.r)
+    classes = enumerate_classes(f.r, f.p, f.n)
+    for label, value, other in zip(classes, f.values, g.values):
+        total = total + value * other.conjugate() * class_size(label)
+    return total / order
+
+
+# 2 1 2 4 is a quotient basis; 4 2 1 2 has split classes
+@pytest.mark.parametrize("flags", [(2, 1, 2, 4), (4, 2, 1, 2)], ids=_flags_id)
+def test_inner_product_matches_per_class_sizes(flags, monkeypatch):
+    basis = _basis_from_flags(*flags)
+    table = character_table(basis.r, basis.p, basis.q, basis.n)
+    blocks = _block_characters(basis, basis.types)
+    for f in blocks:
+        for _, row in table:
+            assert inner_product(f, row) == _reference_inner_product(f, row)
+    projected = [decompose(f, table) for f in blocks]
+    monkeypatch.setattr(gelfand.characters, "inner_product", _reference_inner_product)
+    assert projected == [decompose(f, table) for f in blocks]
+
+
 @pytest.mark.parametrize("flags", DIFFERENTIAL_BASES, ids=_flags_id)
 def test_model_character_matches_reference(flags):
     basis = _basis_from_flags(*flags)
@@ -532,7 +812,9 @@ def test_gelfand_check_rejects_negative_multiplicity(monkeypatch):
     # minus one row is a virtual character: its projection finds
     # multiplicity -1, which the full-module check must not report as a count
     negated = character_table(2, 2, 1, 4)[0][1].scale(-1)
-    monkeypatch.setattr(gelfand.model, "model_character", lambda basis, which: negated)
+    monkeypatch.setattr(
+        gelfand.model, "_scope_characters", lambda r, p, n, histograms, groups: [negated]
+    )
     with pytest.raises(InconsistencyError, match="negative multiplicity"):
         gelfand_check(2, 2, 1, 4)
 
