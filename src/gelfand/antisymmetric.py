@@ -1,7 +1,8 @@
 """Cycle-pairing analysis of the antisymmetric half of the involution
 module.
 
-For an element g these helpers list the pairings of g's cycles, sort the
+For an element g these helpers list the pairings of g's cycles, which
+colored.cycle_pairings generates from the cycle lengths, sort the
 antisymmetric elements that |g| fixes up to sign by the pairing they
 induce, and evaluate the difference of the untwisted and twisted block
 characters.  The acceptance tests use them to check the antisymmetric
@@ -11,7 +12,12 @@ trace identity; the command line does not.
 from __future__ import annotations
 
 from .classes import ENUMERATION_GUARD, ConjugacyClass
-from .colored import ColoredPermutation, absolute_conjugate, antisymmetric_elements
+from .colored import (
+    ColoredPermutation,
+    absolute_conjugate,
+    antisymmetric_elements,
+    cycle_pairings,
+)
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError, ResourceLimitError
 from .model import ModelBasis, model_character
@@ -21,23 +27,12 @@ def pi21_partitions(g: ColoredPermutation):
     """Partitions of g's cycles into singletons and equal-length pairs.
 
     Each partition is a sorted tuple of parts; a part is a tuple of cycle
-    indices into g.cycles().
+    indices into g.cycles().  They come in the order of cycle_pairings.
     """
-    cycles = g.cycles()
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for tail in rec(rest):
-            yield ((first,),) + tail
-        for i, other in enumerate(rest):
-            if len(cycles[other]) == len(cycles[first]):
-                for tail in rec(rest[:i] + rest[i + 1 :]):
-                    yield ((first, other),) + tail
-
-    return [tuple(sorted(partition)) for partition in rec(tuple(range(len(cycles))))]
+    return [
+        tuple(sorted([(i,) for i in singles] + list(pairs)))
+        for singles, pairs in cycle_pairings([len(cycle) for cycle in g.cycles()])
+    ]
 
 
 def part_color(g: ColoredPermutation, part) -> int:

@@ -278,15 +278,9 @@ def character_table(r: int, p: int, q: int, n: int):
     mus = [lams[i][: r // 2] for i in split]
     labels = [IrreducibleLabel(orbit, j) for orbit in orbits for j in range(orbit.m)]
     cells = [[None] * len(classes) for _ in labels]
-    values: dict = {}  # (histogram, denominator) -> one shared value
-
-    def value(histogram, denominator) -> Cyclotomic:
-        key = (histogram, denominator)
-        found = values.get(key)
-        if found is None:
-            found = values[key] = Cyclotomic(r, histogram, denominator)
-        return found
-
+    # one shared value per histogram of chi (unsplit) and of 2 chi (split)
+    whole: dict = {}
+    doubled: dict = {}
     columns: dict = {}
     for k, c in enumerate(classes):
         columns.setdefault(c.alpha, []).append((k, c.half))
@@ -306,17 +300,22 @@ def character_table(r: int, p: int, q: int, n: int):
             row = 0
             for orbit, histogram, delta in zip(orbits, histograms, deltas):
                 if orbit.m == 1:
-                    cells[row][k] = value(histogram, 1)
+                    cell = whole.get(histogram)
+                    if cell is None:
+                        cell = whole[histogram] = Cyclotomic(r, histogram)
+                    cells[row][k] = cell
                     row += 1
                     continue
                 # the split rows are 2 chi = restricted +- delta
-                cells[row][k] = value(
-                    tuple(a + sign * b for a, b in zip(histogram, delta)), 2
-                )
-                cells[row + 1][k] = value(
-                    tuple(a - sign * b for a, b in zip(histogram, delta)), 2
-                )
-                row += 2
+                for twice in (
+                    tuple(a + sign * b for a, b in zip(histogram, delta)),
+                    tuple(a - sign * b for a, b in zip(histogram, delta)),
+                ):
+                    cell = doubled.get(twice)
+                    if cell is None:
+                        cell = doubled[twice] = Cyclotomic(r, twice, 2)
+                    cells[row][k] = cell
+                    row += 1
     rows = [
         (label, ClassFunction(r, p, n, row)) for label, row in zip(labels, cells)
     ]

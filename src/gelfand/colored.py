@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from itertools import permutations, product
 from math import gcd
 
 from .errors import UnsupportedGroupError
@@ -448,8 +449,6 @@ def projective_conjugate(
 
 def all_elements(r: int, n: int):
     """Iterate over all of G(r,n) in a deterministic order."""
-    from itertools import permutations, product
-
     for perm in permutations(range(1, n + 1)):
         for colors in product(range(r), repeat=n):
             yield ColoredPermutation(r, perm, colors)
@@ -462,23 +461,54 @@ def subgroup_elements(r: int, p: int, n: int):
             yield g
 
 
-def _involution_supports(n: int):
-    """All (fixed points, pairs) splittings of 1..n with |pairs| a matching."""
+def cycle_pairings(lengths):
+    """Every split of the indices 0..len(lengths)-1 into singles and pairs
+    (i, j), i < j, of equal lengths, as (singles, pairs), both in
+    increasing order.
+
+    The least index is left single first and then paired with each later
+    index of its length in turn, and the rest is split the same way.  With
+    lengths the cycle lengths of a permutation, the splits are the
+    skeletons of the involutions that commute with it; with n ones, they
+    are the involutions of S_n.
+    """
 
     def rec(remaining):
         if not remaining:
-            yield [], []
+            yield (), ()
             return
-        a = remaining[0]
-        rest = remaining[1:]
-        for fixed, pairs in rec(rest):
-            yield [a] + fixed, pairs
-        for i, b in enumerate(rest):
-            others = rest[:i] + rest[i + 1 :]
-            for fixed, pairs in rec(others):
-                yield fixed, [(a, b)] + pairs
+        first, rest = remaining[0], remaining[1:]
+        for singles, pairs in rec(rest):
+            yield (first,) + singles, pairs
+        for k, other in enumerate(rest):
+            if lengths[other] == lengths[first]:
+                for singles, pairs in rec(rest[:k] + rest[k + 1 :]):
+                    yield singles, ((first, other),) + pairs
 
-    yield from rec(list(range(1, n + 1)))
+    return rec(tuple(range(len(lengths))))
+
+
+def _involutions(r: int, n: int, half: int) -> list[ColoredPermutation]:
+    """The elements of G(r,n) whose perm is an involution and whose two
+    rows of each 2-cycle (a, b), a < b, carry colors z and z + half:
+    symmetric for half = 0, antisymmetric for half = r/2, which leaves no
+    fixed point.  Sorted."""
+    out = []
+    for singles, pairs in cycle_pairings([1] * n):
+        if half and singles:
+            continue
+        for assignment in product(range(r), repeat=len(singles) + len(pairs)):
+            perm = list(range(1, n + 1))
+            colors = [0] * n
+            for a, z in zip(singles, assignment):
+                colors[a] = z
+            for (a, b), z in zip(pairs, assignment[len(singles) :]):
+                perm[a], perm[b] = b + 1, a + 1
+                colors[a] = z
+                colors[b] = (z + half) % r
+            out.append((tuple(perm), tuple(colors)))
+    out.sort()
+    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
 
 
 def symmetric_elements(r: int, n: int):
@@ -487,22 +517,7 @@ def symmetric_elements(r: int, n: int):
     These are exactly the absolute involutions of G(r,n).  The list comes
     back sorted.
     """
-    from itertools import product
-
-    out = []
-    for fixed, pairs in _involution_supports(n):
-        slots = len(fixed) + len(pairs)
-        for assignment in product(range(r), repeat=slots):
-            perm = list(range(1, n + 1))
-            colors = [0] * n
-            for e, z in zip(fixed, assignment):
-                colors[e - 1] = z
-            for (a, b), z in zip(pairs, assignment[len(fixed) :]):
-                perm[a - 1], perm[b - 1] = b, a
-                colors[a - 1] = colors[b - 1] = z
-            out.append((tuple(perm), tuple(colors)))
-    out.sort()
-    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
+    return _involutions(r, n, 0)
 
 
 def antisymmetric_elements(r: int, n: int):
@@ -511,22 +526,6 @@ def antisymmetric_elements(r: int, n: int):
     Empty unless r is even and n is even; every cycle is a 2-cycle whose
     colors differ by r/2.  The list comes back sorted.
     """
-    from itertools import product
-
     if r % 2 != 0 or n % 2 != 0:
         return []
-    half = r // 2
-    out = []
-    for fixed, pairs in _involution_supports(n):
-        if fixed:
-            continue
-        for assignment in product(range(r), repeat=len(pairs)):
-            perm = list(range(1, n + 1))
-            colors = [0] * n
-            for (a, b), z in zip(pairs, assignment):
-                perm[a - 1], perm[b - 1] = b, a
-                colors[a - 1] = z
-                colors[b - 1] = (z + half) % r
-            out.append((tuple(perm), tuple(colors)))
-    out.sort()
-    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
+    return _involutions(r, n, r // 2)

@@ -14,18 +14,20 @@ scalar, and the verification computes it without building the basis.  A
 coset with perm pi is fixed exactly when pi commutes with |g| and
 conjugation shifts its colors by one multiple s of r/p, so each fixed
 coloring is one start color per orbit of <|g|, pi>.  The sweep generates
-the involutions pi that commute with |g| from its cycles, once per perm,
-describes each orbit by a descriptor and each (pi, s) by the sorted
-tuple of them, its signature, and computes the per-block exponent
-histogram of each distinct signature once per run, by a dynamic
-programme over the orbits.  The drivers take the block types and sizes
-from the identity column, where each block's trace is its size.
-model_character sums the swept block characters over a scope of a
-ModelBasis.
+the involutions pi that commute with |g| once per perm, from the
+cycle_pairings of its cycle lengths: each cycle is kept or swapped with
+another of its length.  It describes each orbit by a descriptor and each
+(pi, s) by the sorted tuple of them, its signature, and computes the
+per-block exponent histogram of each distinct signature once per run, by
+a dynamic programme over the orbits.  The drivers take the block types
+and sizes from the identity column, where each block's trace is its
+size.  model_character sums the swept block characters over a scope of
+a ModelBasis.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from operator import add, itemgetter
 
 from .characters import (
@@ -49,6 +51,7 @@ from .colored import (
     ColoredPermutation,
     ProjectiveElement,
     check_supported_group,
+    cycle_pairings,
     projective_conjugate,
 )
 from .cyclotomic import Cyclotomic
@@ -282,50 +285,47 @@ def _commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
     given cycles, whose colorings can be fixed up to the shift s, as its
     tuple of orbits (see _orbit).
 
-    pi maps each cycle C of perm0 onto a cycle of the same length: it fixes
-    C pointwise (symmetric pi only), turns C by half its length L, or swaps
-    C with a later L-cycle C' at one of L offsets.  A step along |g| adds s
-    to the color, a step along pi adds half (0, or r/2 when pi is
-    antisymmetric); the half-turn closes only when (L/2)*s = half mod r.
-    Each cycle starts at its least position, so each orbit does too.
+    pi maps each cycle C of perm0 onto a cycle of the same length: it keeps
+    C, fixing it pointwise (symmetric pi only) or turning it by half its
+    length L, or swaps C with another L-cycle C' at one of L offsets.  The
+    kept cycles and the swapped pairs are the cycle_pairings of the
+    lengths; each part's orbits are built once and combined by product.  A
+    step along |g| adds s to the color, a step along pi adds half (0, or
+    r/2 when pi is antisymmetric); the half-turn closes only when
+    (L/2)*s = half mod r.  Each cycle starts at its least position, so each
+    orbit does too.
     """
 
     def walk(cycle, start=0, base=0):
         return {j: (base + (k - start) * s) % r for k, j in enumerate(cycle)}
 
-    def choices(remaining):
-        if not remaining:
-            yield ()
-            return
-        cycle, rest = cycles[remaining[0]], remaining[1:]
+    def orbit(pairs, fixed, offsets):
+        return _orbit(perm0, pairs, fixed, offsets, half, r, q)
+
+    kept = []
+    for cycle in cycles:
         length = len(cycle)
-        heads = []
-        if not half:
-            heads.append((_orbit(perm0, (), cycle, walk(cycle), half, r, q), rest))
+        orbits = [] if half else [orbit((), cycle, walk(cycle))]
         if length % 2 == 0 and length // 2 * s % r == half:
             turned = tuple(zip(cycle[: length // 2], cycle[length // 2 :]))
-            heads.append((_orbit(perm0, turned, (), walk(cycle), half, r, q), rest))
-        for i, other in enumerate(rest):
-            partner = cycles[other]
-            if len(partner) != length:
-                continue
-            for t in range(length):
-                offsets = walk(cycle)
-                offsets.update(walk(partner, t, half))
-                swapped = tuple(
-                    (cycle[k], partner[(k + t) % length]) for k in range(length)
-                )
-                heads.append(
-                    (
-                        _orbit(perm0, swapped, (), offsets, half, r, q),
-                        rest[:i] + rest[i + 1 :],
+            orbits.append(orbit(turned, (), walk(cycle)))
+        kept.append(orbits)
+    swapped = {}
+    for singles, pairs in cycle_pairings([len(cycle) for cycle in cycles]):
+        for i, j in pairs:
+            if (i, j) not in swapped:
+                cycle, partner = cycles[i], cycles[j]
+                swapped[i, j] = [
+                    orbit(
+                        tuple(zip(cycle, partner[t:] + partner[:t])),
+                        (),
+                        walk(cycle) | walk(partner, t, half),
                     )
-                )
-        for head, others in heads:
-            for tail in choices(others):
-                yield (head,) + tail
-
-    return choices(tuple(range(len(cycles))))
+                    for t in range(len(cycle))
+                ]
+        yield from product(
+            *[kept[i] for i in singles], *[swapped[pair] for pair in pairs]
+        )
 
 
 def _perm_structures(perm0, cycles, r: int, p: int, q: int, twist: bool) -> list[tuple]:
@@ -517,7 +517,7 @@ class _Sweep:
         return column
 
 
-def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True, max_order=ENUMERATION_GUARD):
+def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
     """Every block's exponent histogram at every class of G(r,p,n), in
     enumerate_classes order, as {type: [histogram per class]}.
 
@@ -528,11 +528,8 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True, max_ord
     orbits of <|g|, pi> (see _Sweep), so each signature's histogram is
     computed once per run, and each class adds up its (pi, s) by
     signature.  The (pi, s) depend only on |g|: they are built once per
-    perm and dropped when its classes are done.  Checked by the guard
-    max_order on r^n*n!, unless it is None.
+    perm and dropped when its classes are done.
     """
-    if max_order is not None:
-        check_enumeration_order(r, n, max_order)
     labels = enumerate_classes(r, p, n)
     windows = [_class_window(label) for label in labels]
     # every basis coset has scalar order p, so a lift changes the colors by
@@ -610,8 +607,7 @@ def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[Cla
     claimed = [ctype for group in groups for ctype in group]
     if len(set(claimed)) != len(claimed):
         raise ValueError("scopes overlap")
-    # the basis exists, so the guard was met when it was built
-    histograms = _type_histograms(basis.r, basis.p, basis.q, basis.n, twist, None)
+    histograms = _type_histograms(basis.r, basis.p, basis.q, basis.n, twist)
     sizes = _block_sizes(histograms)
     if sizes != {ctype: len(basis.blocks[ctype]) for ctype in basis.types}:
         raise InconsistencyError("swept block sizes differ from the basis")
@@ -687,10 +683,12 @@ def _blocks_and_table(r: int, p: int, q: int, n: int, max_order: int):
     """Every block's histograms (see _type_histograms) and size, and the
     character table of G(r,p,q,n), after the global anchor: the block
     sizes sum to the sum of the irreducible degrees.  Also whether the
-    table's rows are certified independent.  Unsupported groups are
-    refused before the sweep."""
+    table's rows are certified independent.  Unsupported groups, and
+    groups past the guard max_order on r^n*n!, are refused before the
+    sweep."""
     check_supported_group(r, p, q, n)
-    histograms = _type_histograms(r, p, q, n, max_order=max_order)
+    check_enumeration_order(r, n, max_order)
+    histograms = _type_histograms(r, p, q, n)
     sizes = _block_sizes(histograms)
     table = character_table(r, p, q, n)
     dimension = sum(sizes.values())

@@ -4,6 +4,8 @@ row |g|(j).  Multiplication, inversion, transpose and conjugation must
 all agree with plain matrix algebra over the cyclotomic field."""
 
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gelfand.colored import (
     all_elements,
     antisymmetric_elements,
     check_group_parameters,
+    cycle_pairings,
     group_order,
     parse_window,
     projective_conjugate,
@@ -146,6 +149,125 @@ def test_element_enumeration_counts():
     for r, n in [(2, 4), (3, 3), (4, 4)]:
         assert symmetric_elements(r, n) == sorted(symmetric_elements(r, n))
         assert antisymmetric_elements(r, n) == sorted(antisymmetric_elements(r, n))
+
+
+def _reference_involution_supports(n: int):
+    """All (fixed points, pairs) splittings of 1..n with |pairs| a matching.
+    Verbatim the recursion the element generators used before
+    cycle_pairings."""
+
+    def rec(remaining):
+        if not remaining:
+            yield [], []
+            return
+        a = remaining[0]
+        rest = remaining[1:]
+        for fixed, pairs in rec(rest):
+            yield [a] + fixed, pairs
+        for i, b in enumerate(rest):
+            others = rest[:i] + rest[i + 1 :]
+            for fixed, pairs in rec(others):
+                yield fixed, [(a, b)] + pairs
+
+    yield from rec(list(range(1, n + 1)))
+
+
+def _reference_symmetric_elements(r: int, n: int):
+    """symmetric_elements on _reference_involution_supports, verbatim."""
+    from itertools import product
+
+    out = []
+    for fixed, pairs in _reference_involution_supports(n):
+        slots = len(fixed) + len(pairs)
+        for assignment in product(range(r), repeat=slots):
+            perm = list(range(1, n + 1))
+            colors = [0] * n
+            for e, z in zip(fixed, assignment):
+                colors[e - 1] = z
+            for (a, b), z in zip(pairs, assignment[len(fixed) :]):
+                perm[a - 1], perm[b - 1] = b, a
+                colors[a - 1] = colors[b - 1] = z
+            out.append((tuple(perm), tuple(colors)))
+    out.sort()
+    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
+
+
+def _reference_antisymmetric_elements(r: int, n: int):
+    """antisymmetric_elements on _reference_involution_supports,
+    verbatim."""
+    from itertools import product
+
+    if r % 2 != 0 or n % 2 != 0:
+        return []
+    half = r // 2
+    out = []
+    for fixed, pairs in _reference_involution_supports(n):
+        if fixed:
+            continue
+        for assignment in product(range(r), repeat=len(pairs)):
+            perm = list(range(1, n + 1))
+            colors = [0] * n
+            for (a, b), z in zip(pairs, assignment):
+                perm[a - 1], perm[b - 1] = b, a
+                colors[a - 1] = z
+                colors[b - 1] = (z + half) % r
+            out.append((tuple(perm), tuple(colors)))
+    out.sort()
+    return [ColoredPermutation(r, perm, colors) for perm, colors in out]
+
+
+@pytest.mark.parametrize(
+    "r, n",
+    [(r, n) for r in range(1, 7) for n in range(1, 7) if r**n <= 5 * 10**4],
+)
+def test_element_lists_match_support_oracle(r, n):
+    assert symmetric_elements(r, n) == _reference_symmetric_elements(r, n)
+    assert antisymmetric_elements(r, n) == _reference_antisymmetric_elements(r, n)
+
+
+# involutions of S_n, n = 0..9: a(n) = a(n-1) + (n-1) a(n-2)
+INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_cycle_pairings_of_a_cycle_type(n):
+    """For every cycle type of S_n, listed in both orders, the splits are
+    distinct and valid, and there are as many as the product of the
+    involution counts of each length's multiplicity: n ones give the
+    involutions of S_n."""
+    for partition in _partitions(n):
+        expected = prod(INVOLUTION_COUNTS[m] for m in Counter(partition).values())
+        for lengths in (partition, partition[::-1]):
+            splits = list(cycle_pairings(lengths))
+            assert len(splits) == expected, lengths
+            assert len(set(splits)) == expected, lengths
+            for singles, pairs in splits:
+                assert list(singles) == sorted(singles)
+                assert list(pairs) == sorted(pairs)
+                assert all(i < j and lengths[i] == lengths[j] for i, j in pairs)
+                covered = list(singles) + [i for pair in pairs for i in pair]
+                assert sorted(covered) == list(range(len(lengths)))
+
+
+def test_cycle_pairings_order():
+    # the least index is left single first, then paired in turn
+    assert list(cycle_pairings([1, 1, 1])) == [
+        ((0, 1, 2), ()),
+        ((0,), ((1, 2),)),
+        ((2,), ((0, 1),)),
+        ((1,), ((0, 2),)),
+    ]
+    assert list(cycle_pairings([2, 1, 2])) == [((0, 1, 2), ()), ((1,), ((0, 2),))]
+    assert list(cycle_pairings([])) == [((), ())]
 
 
 def test_symmetry_kinds():

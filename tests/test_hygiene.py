@@ -1,10 +1,12 @@
 """Static hygiene checks, standard library only: no module of the
 package imports a name it never uses, no function of it takes a
-parameter it never reads (dunder methods aside), every name the
-package exports resolves, and exact values keep one representation
-behind one module."""
+parameter it never reads (dunder methods aside), no private top-level
+function or class goes unreferenced, every name the package exports
+resolves, and exact values keep one representation behind one
+module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,39 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, "%s imports unused names: %s" % (path.name, unused)
+
+
+def referenced_names(tree):
+    """Every name a tree reads, as a plain name, an attribute or an
+    imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+
+
+def test_no_private_definition_is_dead():
+    """Every private top-level function or class of src/gelfand is
+    referenced somewhere in src/gelfand outside its own body."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(gelfand.__file__).parent.glob("*.py"))
+    }
+    uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    dead = [
+        "%s:%s" % (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] <= sum(1 for name in referenced_names(node) if name == node.name)
+    ]
+    assert not dead, "private definitions nobody references: %s" % dead
 
 
 def test_all_names_resolve():

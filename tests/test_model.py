@@ -4,6 +4,7 @@ the object-level trace loop, the former window loop and the projection
 path, and the antisymmetric cycle-pairing machinery."""
 
 import random
+from collections import Counter
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
@@ -58,7 +59,10 @@ from gelfand.model import (
     _action_scalar,
     _block_characters,
     _block_sizes,
+    _class_window,
+    _commuting_involutions,
     _inversions,
+    _orbit,
     _pairing,
     _transfer,
     _type_histograms,
@@ -514,6 +518,83 @@ SMALL_BASES = [
 PANEL_BASES = [(2, 1, 2, 6), (4, 1, 2, 4), (6, 1, 2, 3), (2, 1, 1, 7), (3, 1, 1, 5)]
 
 
+def _reference_commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
+    """_commuting_involutions by recursion over the cycles.  Verbatim the
+    implementation before cycle_pairings."""
+
+    def walk(cycle, start=0, base=0):
+        return {j: (base + (k - start) * s) % r for k, j in enumerate(cycle)}
+
+    def choices(remaining):
+        if not remaining:
+            yield ()
+            return
+        cycle, rest = cycles[remaining[0]], remaining[1:]
+        length = len(cycle)
+        heads = []
+        if not half:
+            heads.append((_orbit(perm0, (), cycle, walk(cycle), half, r, q), rest))
+        if length % 2 == 0 and length // 2 * s % r == half:
+            turned = tuple(zip(cycle[: length // 2], cycle[length // 2 :]))
+            heads.append((_orbit(perm0, turned, (), walk(cycle), half, r, q), rest))
+        for i, other in enumerate(rest):
+            partner = cycles[other]
+            if len(partner) != length:
+                continue
+            for t in range(length):
+                offsets = walk(cycle)
+                offsets.update(walk(partner, t, half))
+                swapped = tuple(
+                    (cycle[k], partner[(k + t) % length]) for k in range(length)
+                )
+                heads.append(
+                    (
+                        _orbit(perm0, swapped, (), offsets, half, r, q),
+                        rest[:i] + rest[i + 1 :],
+                    )
+                )
+        for head, others in heads:
+            for tail in choices(others):
+                yield (head,) + tail
+
+    return choices(tuple(range(len(cycles))))
+
+
+def _orbit_structures(structures):
+    """The multiset of orbit structures, each as its set of orbits with the
+    offsets as sorted items."""
+    return Counter(
+        tuple(
+            sorted(
+                (part, tuple(sorted(offsets.items())), parity)
+                for part, offsets, parity in orbits
+            )
+        )
+        for orbits in structures
+    )
+
+
+@pytest.mark.parametrize("flags", DIFFERENTIAL_BASES + PANEL_BASES, ids=_flags_id)
+def test_commuting_involutions_match_recursion(flags):
+    r, p, q, n = flags
+    # the acting group G(r,q,n) exchanges p and q; every valid s, both kinds
+    windows = {}
+    for label in enumerate_classes(r, q, n):
+        perm0, cycles, _, _ = _class_window(label)
+        windows[perm0] = cycles
+    for perm0, cycles in windows.items():
+        shifts = [
+            s
+            for s in range(0, r, r // q)
+            if all(len(cycle) * s % r == 0 for cycle in cycles)
+        ]
+        for half in (0, r // 2) if r % 2 == 0 else (0,):
+            for s in shifts:
+                args = (perm0, cycles, s, half, r, p)
+                ours = _orbit_structures(_commuting_involutions(*args))
+                assert ours == _orbit_structures(_reference_commuting_involutions(*args)), args
+
+
 @pytest.mark.parametrize(
     "flags", sorted(set(SMALL_BASES + DIFFERENTIAL_BASES + PANEL_BASES)), ids=_flags_id
 )
@@ -553,7 +634,7 @@ def test_identity_column_sums_to_the_involution_count(r, monkeypatch):
         gelfand.model, "enumerate_classes", lambda r, p, n: enumerate_classes(r, p, n)[-1:]
     )
     for n in range(1, 8):
-        sizes = _block_sizes(_type_histograms(r, 1, 1, n, max_order=None))
+        sizes = _block_sizes(_type_histograms(r, 1, 1, n))
         assert sum(sizes.values()) == _involution_count(r, n), n
 
 
@@ -924,6 +1005,33 @@ def test_gelfand_check_small():
     assert passed
     assert all(mult == 1 for _, mult in rows)
     assert len(rows) == len(character_table(3, 1, 1, 3))
+
+
+def _reference_pi21_partitions(g: ColoredPermutation):
+    """pi21_partitions by its own recursion.  Verbatim the implementation
+    before cycle_pairings."""
+    cycles = g.cycles()
+
+    def rec(remaining):
+        if not remaining:
+            yield ()
+            return
+        first, rest = remaining[0], remaining[1:]
+        for tail in rec(rest):
+            yield ((first,),) + tail
+        for i, other in enumerate(rest):
+            if len(cycles[other]) == len(cycles[first]):
+                for tail in rec(rest[:i] + rest[i + 1 :]):
+                    yield ((first, other),) + tail
+
+    return [tuple(sorted(partition)) for partition in rec(tuple(range(len(cycles))))]
+
+
+@pytest.mark.parametrize("r, n", [(2, 6), (4, 4), (3, 5)])
+def test_pi21_partitions_match_recursion(r, n):
+    for label in enumerate_classes(r, 1, n):
+        g = normal_element(label)
+        assert pi21_partitions(g) == _reference_pi21_partitions(g), label
 
 
 def test_pi21_partition_counts():
