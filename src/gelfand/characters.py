@@ -6,9 +6,18 @@ strip of length k from some component i of the label, with sign
 (-1)^leg and factor zeta_r^(i*c).  Border strips are found on beta
 numbers by one cached helper shared with the symmetric-group case
 (r = 1).  Values are summed as integer histograms of exponents of
-zeta_r.  The character table is built column by column: one memo over
-remaining shapes serves every row at one class and lives for that
-column only, so no cache grows with the table.  For split
+zeta_r.
+
+The character table walks only a few of its histograms and reads the
+rest off two symmetries of the wreath characters.  Shifting the
+components of lam up by t multiplies chi^lam(alpha) by zeta_r^(t*c),
+c the total color of alpha, which rotates the histogram by t*c; and
+multiplying every cycle color by a unit u of Z/r applies zeta -> zeta^u,
+which moves exponent e to u*e mod r.  So one row per rotation class of
+the table's shapes is walked, at one class shape per Galois orbit of
+them.  The columns are built one Galois orbit at a time, and the walk's
+memo over remaining shapes lives for one walk only, so no cache outlives
+one orbit of columns.  For split
 representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the
 two constituents are built as integer 2*chi, the restricted character
 plus or minus the closed-form difference character, and halved once.
@@ -31,9 +40,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
-from .classes import ConjugacyClass, class_positions, class_sizes, enumerate_classes
+from .classes import (
+    ConjugacyClass,
+    class_positions,
+    class_sizes,
+    enumerate_classes,
+    label_color,
+)
 from .colored import check_supported_group
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError
@@ -44,6 +59,7 @@ from .shapes import (
     count_standard,
     enumerate_orbits,
     shape_key,
+    shape_shift,
     shape_size,
     validate_shape,
 )
@@ -260,6 +276,57 @@ class IrreducibleLabel(Immutable):
         return "IrreducibleLabel(%s)" % self
 
 
+def _table_columns(lams, alphas):
+    """(alpha, [histogram of chi^lam at alpha for lam in lams]) for every
+    class shape alpha of alphas, one Galois orbit at a time.
+
+    One lam per rotation class among lams is walked, and every other row
+    rotates its representative's histogram: if lam is the representative
+    shifted up by t, its histogram is the representative's times
+    zeta^(t*c), c the total color of alpha.  The representative's
+    histograms are walked at the first class shape of each orbit under
+    color scaling by the units u of Z/r; at the image u.alpha (component
+    u*i of it is component i of alpha) exponent e moves to u*e.  Images
+    that are not in alphas are skipped.
+    """
+    r = len(lams[0])
+    reps = []
+    index: dict = {}  # representative shape -> its position in reps
+    rotated = []  # per lam: (representative position, shift t)
+    for lam in lams:
+        for t in range(r):
+            pos = index.get(shape_shift(lam, -t))
+            if pos is not None:
+                rotated.append((pos, t))
+                break
+        else:
+            index[lam] = len(reps)
+            rotated.append((len(reps), 0))
+            reps.append(lam)
+    inverses = [pow(u, -1, r) for u in range(1, r + 1) if gcd(u, r) == 1]
+    done = set()
+    for alpha in alphas:
+        if alpha in done:
+            continue
+        walked = _wreath_histograms(reps, _cycles(alpha))
+        for v in inverses:  # v = 1/u: image component j is alpha's v*j
+            image = tuple(alpha[v * j % r] for j in range(r))
+            if image in done or image not in alphas:
+                continue
+            done.add(image)
+            if image == alpha:
+                histograms = walked
+            else:
+                histograms = [tuple(h[v * j % r] for j in range(r)) for h in walked]
+            color = label_color(image)
+            column = []
+            for pos, t in rotated:
+                h = histograms[pos]
+                s = t * color % r
+                column.append(h[-s:] + h[:-s] if s else h)
+            yield image, column
+
+
 def character_table(r: int, p: int, q: int, n: int):
     """Irreducible characters of G(r,p,q,n), as class functions on the
     subgroup G(r,p,n) (constant on scalar cosets, so no information is
@@ -268,7 +335,8 @@ def character_table(r: int, p: int, q: int, n: int):
     Returns a list of (IrreducibleLabel, ClassFunction) pairs.  Unsplit
     rows restrict a wreath-product character; split rows are cut out of the
     restriction with the difference character.  Cells are computed one
-    class shape at a time, for all rows at once.
+    class shape at a time, for all rows at once, from the histograms of
+    _table_columns.
     """
     check_supported_group(r, p, q, n)
     classes = enumerate_classes(r, p, n)
@@ -285,8 +353,8 @@ def character_table(r: int, p: int, q: int, n: int):
     for k, c in enumerate(classes):
         columns.setdefault(c.alpha, []).append((k, c.half))
     zero = (0,) * r
-    for alpha, column in columns.items():
-        histograms = _wreath_histograms(lams, _cycles(alpha))
+    for alpha, histograms in _table_columns(lams, columns):
+        column = columns[alpha]
         # the difference character times 2, exponents doubled from r/2 to r
         deltas = [zero] * len(orbits)
         if column[0][1] is not None:
@@ -345,13 +413,34 @@ def character_table(r: int, p: int, q: int, n: int):
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """Hermitian inner product (1/|G|) sum over classes of size*f*conj(g),
-    taken over G(r,p,n)."""
+    taken over G(r,p,n).
+
+    The sum is one integer cyclic convolution of length m, the lcm of r
+    and the values' orders: a power-basis numerator x_i of f and y_j of g
+    at one class add size*x_i*y_j to the coefficient of zeta_m^(i-j),
+    over a common denominator, scaled up when a class needs a larger one,
+    the way _reassembles does.  One value is built, at the end.
+    """
     f._same_group(g)
     order = f.r**f.n * factorial(f.n) // f.p
-    total = Cyclotomic.zero(f.r)
+    m = lcm(f.r, *(v.order for v in f.values), *(v.order for v in g.values))
+    acc = [0] * m
+    den = 1
     for value, other, size in zip(f.values, g.values, class_sizes(f.r, f.p, f.n)):
-        total = total + value * other.conjugate() * size
-    return total / order
+        value, other = value.to_order(m), other.to_order(m)
+        d = value.den * other.den
+        if den % d:
+            common = lcm(den, d)
+            acc = [a * (common // den) for a in acc]
+            den = common
+        scale = size * (den // d)
+        for i, x in enumerate(value.nums):
+            if x:
+                x *= scale
+                for j, y in enumerate(other.nums):
+                    if y:
+                        acc[(i - j) % m] += x * y
+    return Cyclotomic(m, acc, den * order)
 
 
 def _reassembles(f: ClassFunction, terms) -> bool:

@@ -1,6 +1,7 @@
 """Character machinery: border-strip recursion against known symmetric
-group values, wreath characters, the difference character on split
-classes, table orthogonality, and exact decomposition."""
+group values, wreath characters and the two symmetries the table reads
+them off by, the difference character on split classes, table
+orthogonality, inner products, and exact decomposition."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gelfand.characters
 from gelfand.characters import (
     ClassFunction,
     IrreducibleLabel,
@@ -29,15 +31,23 @@ from gelfand.characters import (
     sym_character,
     wreath_character,
 )
-from gelfand.classes import ConjugacyClass, class_size, enumerate_classes
+from gelfand.classes import (
+    ConjugacyClass,
+    class_size,
+    class_sizes,
+    enumerate_classes,
+    label_color,
+)
 from gelfand.cyclotomic import Cyclotomic, zeta
 from gelfand.errors import InconsistencyError, UnsupportedGroupError
+from gelfand.model import _scope_characters, _type_histograms
 from gelfand.shapes import (
     Shape,
     count_standard,
     enumerate_orbits,
     enumerate_shapes,
     partitions,
+    shape_shift,
 )
 
 
@@ -225,6 +235,47 @@ def test_shared_memo_is_order_free(group, data):
         assert histogram == tuple(expected), (lam, alpha)
 
 
+def _raw_histogram(lam: Shape, alpha: Shape) -> tuple:
+    histogram = [0] * len(lam)
+    for exponent, weight in _wreath_character_raw(lam, alpha):
+        histogram[exponent] += weight
+    return tuple(histogram)
+
+
+def _color_scaled(alpha: Shape, u: int) -> Shape:
+    """Every cycle color of alpha times u: component u*i is alpha's i."""
+    r = len(alpha)
+    components = [()] * r
+    for i, comp in enumerate(alpha):
+        components[u * i % r] = comp
+    return tuple(components)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_rotation_and_galois_identities(r):
+    """The two symmetries character_table reads histograms off, on the
+    induced-character sum: shifting lam up by t multiplies chi^lam(alpha)
+    by zeta^(t*c), c the total color of alpha, and scaling every color of
+    alpha by a unit u moves exponent e to u*e.  Every lam and alpha with
+    n <= 3, every shift and every unit."""
+    units = [u for u in range(1, r + 1) if gcd(u, r) == 1]
+    for n in range(1, 4):
+        shapes = enumerate_shapes(r, n)
+        for alpha in shapes:
+            color = label_color(alpha)
+            for lam in shapes:
+                base = _raw_histogram(lam, alpha)
+                for t in range(r):
+                    rotated = tuple(base[(e - t * color) % r] for e in range(r))
+                    assert _raw_histogram(shape_shift(lam, t), alpha) == rotated
+                for u in units:
+                    scaled = [0] * r
+                    for e, weight in enumerate(base):
+                        scaled[u * e % r] = weight
+                    image = _color_scaled(alpha, u)
+                    assert _raw_histogram(lam, image) == tuple(scaled), (lam, alpha, u)
+
+
 # The per-cell table builder that character_table replaced, kept verbatim
 # as the reference.
 def _reference_character_table(r, p, q, n):
@@ -258,20 +309,21 @@ def _reference_character_table(r, p, q, n):
     return rows
 
 
+# every supported group with r <= 6 and n <= 4, r = 1, quotients and split
+# groups included, and beyond those a larger split group, a larger r and
+# the chartable panel group 4 1 1 5 (6 2 1 4 is among the first)
+TABLE_GROUPS = [
+    (r, p, q, n)
+    for r in range(1, 7)
+    for n in range(1, 5)
+    for p in range(1, r + 1)
+    for q in range(1, r + 1)
+    if r % p == 0 and r % q == 0 and (r * n) % (p * q) == 0 and gcd(p, n) <= 2
+] + [(2, 2, 1, 6), (8, 2, 1, 2), (4, 1, 1, 5)]
+
+
 @pytest.mark.parametrize(
-    "group",
-    [
-        (3, 1, 1, 4),
-        (4, 1, 1, 4),
-        (4, 2, 1, 4),
-        (4, 2, 2, 4),
-        (6, 2, 1, 3),
-        (6, 2, 1, 2),
-        (2, 2, 1, 6),
-        (8, 2, 1, 2),
-        (4, 4, 1, 2),
-    ],
-    ids=lambda group: "-".join(map(str, group)),
+    "group", TABLE_GROUPS, ids=lambda group: "-".join(map(str, group))
 )
 def test_table_matches_per_cell_reference(group):
     expected = _reference_character_table(*group)
@@ -282,8 +334,49 @@ def test_table_matches_per_cell_reference(group):
         for (_, row), (_, reference) in zip(table, expected):
             assert list(row.values) == list(reference.values)
             assert row == reference
-    _, p, _, n = group
-    assert any(label.orbit.m == 2 for label, _ in expected) == (gcd(p, n) == 2)
+    _, p, q, n = group
+    has_split_rows = any(label.orbit.m == 2 for label, _ in expected)
+    assert has_split_rows <= (gcd(p, n) == 2)
+    if q == 1:  # a quotient may keep no split shape, its color not divisible by q
+        assert has_split_rows == (gcd(p, n) == 2)
+
+
+def _walked(monkeypatch, group) -> list[int]:
+    """How many shapes character_table hands to each border-strip walk."""
+    sizes = []
+    walk = gelfand.characters._wreath_histograms
+
+    def spy(lams, cycles):
+        sizes.append(len(lams))
+        return walk(lams, cycles)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gelfand.characters, "_wreath_histograms", spy)
+        character_table(*group)
+    return sizes
+
+
+def _walked_per_column(r, p, q, n) -> int:
+    """The shapes walked by a table that walks every row at every class
+    shape, and every split row's halved shape at every split class shape."""
+    classes = enumerate_classes(r, p, n)
+    orbits = enumerate_orbits(r, n, p, q)
+    shapes = len({c.alpha for c in classes})
+    split_shapes = len({c.alpha for c in classes if c.half is not None})
+    return shapes * len(orbits) + split_shapes * sum(o.m > 1 for o in orbits)
+
+
+def test_table_walks_one_row_per_rotation_class_and_column_per_galois_orbit(
+    monkeypatch,
+):
+    # 252 rows in 63 rotation classes, 252 class shapes in 151 Galois orbits
+    assert _walked(monkeypatch, (4, 1, 1, 5)) == [63] * 151
+    assert _walked_per_column(4, 1, 1, 5) == 63_504
+    assert sum(_walked(monkeypatch, (5, 1, 1, 5))) == 13_770
+    assert _walked_per_column(5, 1, 1, 5) == 256_036
+    # no shift of components or unit color scaling to use
+    for group in [(1, 1, 1, 6), (2, 2, 1, 6)]:
+        assert sum(_walked(monkeypatch, group)) <= _walked_per_column(*group)
 
 
 def test_delta1_values_on_split_classes():
@@ -367,6 +460,59 @@ def test_table_orthonormal_rows():
                     assert product == Cyclotomic.one(r)
                 else:
                     assert product.is_zero()
+
+
+# inner_product as it was before it became one integer convolution, kept
+# verbatim as the reference.
+def _reference_inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
+    f._same_group(g)
+    order = f.r**f.n * factorial(f.n) // f.p
+    total = Cyclotomic.zero(f.r)
+    for value, other, size in zip(f.values, g.values, class_sizes(f.r, f.p, f.n)):
+        total = total + value * other.conjugate() * size
+    return total / order
+
+
+def _identical(a: Cyclotomic, b: Cyclotomic) -> bool:
+    return (a.order, a.nums, a.den) == (b.order, b.nums, b.den)
+
+
+def test_inner_product_agrees_with_reference_on_the_projection_fallback():
+    # every block of 6 1 2 3 projected on every row, as decompose does
+    # when the shortcut is not taken
+    r, p, q, n = 6, 1, 2, 3
+    histograms = _type_histograms(r, p, q, n)
+    blocks = _scope_characters(r, p, n, histograms, [(t,) for t in histograms])
+    assert len(blocks) == 46
+    table = character_table(r, p, q, n)
+    for f in blocks:
+        for _, row in table:
+            assert _identical(inner_product(f, row), _reference_inner_product(f, row))
+
+
+@pytest.mark.parametrize(
+    "group", [(1, 1, 1, 4), (2, 2, 1, 4), (3, 1, 1, 3), (4, 2, 1, 2), (6, 2, 1, 2)],
+    ids=lambda group: "-".join(map(str, group)),
+)
+def test_inner_product_agrees_with_reference_on_random_class_functions(group):
+    r, p, _, n = group
+    rng = random.Random(sum(group))
+    classes = enumerate_classes(r, p, n)
+
+    def value() -> Cyclotomic:
+        order = rng.choice([1, r, 2 * r, 3 * r])
+        if rng.random() < 0.2:
+            return Cyclotomic.zero(order)
+        return Cyclotomic(
+            order,
+            [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 8])) for _ in range(order)],
+        )
+
+    for _ in range(25):
+        f = ClassFunction(r, p, n, [value() for _ in classes])
+        g = ClassFunction(r, p, n, [value() for _ in classes])
+        assert _identical(inner_product(f, g), _reference_inner_product(f, g))
+        assert _identical(inner_product(f, f), _reference_inner_product(f, f))
 
 
 def test_table_degrees():
@@ -573,8 +719,6 @@ def _wide_residue_field(r: int) -> tuple[int, int]:
 
 
 def test_packed_field_width_follows_the_prime(monkeypatch):
-    import gelfand.characters
-
     wide = {r: _wide_residue_field(r) for r in (2, 4)}
     assert all(ell * ell >= 2**64 and ell % r == 1 for r, (ell, _) in wide.items())
     monkeypatch.setattr(gelfand.characters, "_residue_field", wide.__getitem__)
