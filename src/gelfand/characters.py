@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .classes import (
     ConjugacyClass,
@@ -49,10 +49,10 @@ from .classes import (
     enumerate_classes,
     label_color,
 )
-from .colored import check_supported_group
+from .colored import check_supported_group, group_order
 from .cyclotomic import Cyclotomic
 from .errors import InconsistencyError
-from .immutable import Immutable
+from .immutable import Immutable, Value
 from .shapes import (
     Shape,
     ShapeOrbit,
@@ -238,7 +238,7 @@ class ClassFunction(Immutable):
         return self.values[-1]
 
 
-class IrreducibleLabel(Immutable):
+class IrreducibleLabel(Value):
     """Name of an irreducible representation of G(r,p,q,n): a shift orbit
     of shapes plus an index distinguishing split constituents."""
 
@@ -250,21 +250,11 @@ class IrreducibleLabel(Immutable):
         object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "j", j)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IrreducibleLabel)
-            and self.orbit == other.orbit
-            and self.j == other.j
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.orbit, self.j))
+    def _key(self):
+        return (self.orbit, self.j)
 
     def sort_key(self):
         return (shape_key(self.orbit.canonical), self.j)
-
-    def __lt__(self, other: "IrreducibleLabel") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         text = str(self.orbit)
@@ -387,7 +377,7 @@ def character_table(r: int, p: int, q: int, n: int):
     rows = [
         (label, ClassFunction(r, p, n, row)) for label, row in zip(labels, cells)
     ]
-    expected_squares = r**n * factorial(n) // (p * q)
+    expected_squares = group_order(r, p, q, n)
     total_squares = 0
     for label, row in rows:
         degree = row.degree()
@@ -422,7 +412,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     the way _reassembles does.  One value is built, at the end.
     """
     f._same_group(g)
-    order = f.r**f.n * factorial(f.n) // f.p
+    order = group_order(f.r, f.p, 1, f.n)
     m = lcm(f.r, *(v.order for v in f.values), *(v.order for v in g.values))
     acc = [0] * m
     den = 1

@@ -26,10 +26,11 @@ from .colored import (
     antisymmetric_elements,
     check_group_parameters,
     check_supported_group,
+    group_order,
     symmetric_elements,
 )
 from .errors import InconsistencyError, ResourceLimitError
-from .immutable import Immutable
+from .immutable import Value
 from .shapes import (
     Shape,
     ShapeOrbit,
@@ -37,6 +38,7 @@ from .shapes import (
     odd_columns,
     partitions,
     shape_key,
+    shape_shift,
     shape_str,
     validate_shape,
 )
@@ -71,7 +73,7 @@ def splits(alpha: Shape, p: int, n: int) -> bool:
     return True
 
 
-class ConjugacyClass(Immutable):
+class ConjugacyClass(Value):
     """Label of a conjugacy class of G(r,p,n).
 
     half is None for unsplit classes, 0 or 1 for the two halves of a split
@@ -102,21 +104,11 @@ class ConjugacyClass(Immutable):
     def n(self) -> int:
         return sum(sum(comp) for comp in self.alpha)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConjugacyClass)
-            and (self.r, self.p, self.alpha, self.half)
-            == (other.r, other.p, other.alpha, other.half)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.p, self.alpha, self.half))
+    def _key(self):
+        return (self.r, self.p, self.alpha, self.half)
 
     def sort_key(self):
         return (shape_key(self.alpha), -1 if self.half is None else self.half)
-
-    def __lt__(self, other: "ConjugacyClass") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         text = shape_str(self.alpha)
@@ -141,7 +133,6 @@ def class_of(g: ColoredPermutation, p: int = 1) -> ConjugacyClass:
 def class_size(label: ConjugacyClass) -> int:
     """Order of the class: r^n n! over the wreath centralizer order,
     halved for split halves."""
-    n = label.n
     centralizer = 1
     for comp in label.alpha:
         mult: dict[int, int] = {}
@@ -149,7 +140,7 @@ def class_size(label: ConjugacyClass) -> int:
             mult[part] = mult.get(part, 0) + 1
         for part, m in mult.items():
             centralizer *= factorial(m) * (part * label.r) ** m
-    size, rem = divmod(label.r**n * factorial(n), centralizer)
+    size, rem = divmod(group_order(label.r, 1, 1, label.n), centralizer)
     if rem:
         raise InconsistencyError("centralizer does not divide the group order")
     if label.half is not None:
@@ -228,14 +219,7 @@ def normal_element(label: ConjugacyClass) -> ColoredPermutation:
 # -- S_n-classes of absolute involutions ------------------------------------------
 
 
-def _rotations(vec: tuple[int, ...], step: int, count: int):
-    size = len(vec)
-    for k in range(count):
-        s = (k * step) % size if size else 0
-        yield tuple(vec[(i - s) % size] for i in range(size))
-
-
-class InvolutionClassType(Immutable):
+class InvolutionClassType(Value):
     """S_n-conjugation invariant of an absolute involution in a quotient
     group: color multiplicities of fixed points and 2-cycles, up to the
     color rotation induced by scalar lift changes.
@@ -251,28 +235,23 @@ class InvolutionClassType(Immutable):
     def __init__(self, r, shift_order, kind, fixed=None, pair=None, twist=None):
         if r % shift_order != 0:
             raise ValueError("shift order must divide the color order")
+        step = r // shift_order
         if kind == "sym":
             if twist is not None or fixed is None or pair is None:
                 raise ValueError("symmetric type takes fixed and pair vectors")
             if len(fixed) != r or len(pair) != r:
                 raise ValueError("vectors must have one entry per color")
-            step = r // shift_order
-            best = min(
-                (f + q)
-                for f, q in zip(
-                    _rotations(tuple(fixed), step, shift_order),
-                    _rotations(tuple(pair), step, shift_order),
-                )
+            fixed, pair = min(
+                (shape_shift(tuple(fixed), s), shape_shift(tuple(pair), s))
+                for s in range(0, r, step)
             )
-            fixed, pair = best[:r], best[r:]
             twist = None
         elif kind == "asym":
             if fixed is not None or pair is not None or twist is None:
                 raise ValueError("antisymmetric type takes the twist vector")
             if r % 2 != 0 or len(twist) != r // 2:
                 raise ValueError("twist vector must have one entry per color pair")
-            step = (r // shift_order) % (r // 2) if r // 2 else 0
-            twist = min(_rotations(tuple(twist), step, shift_order))
+            twist = min(shape_shift(tuple(twist), s) for s in range(0, r, step))
             fixed = pair = None
         else:
             raise ValueError("kind must be 'sym' or 'asym'")
@@ -291,15 +270,6 @@ class InvolutionClassType(Immutable):
 
     def _key(self):
         return (self.r, self.shift_order, self.kind, self.fixed, self.pair, self.twist)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InvolutionClassType) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __lt__(self, other: "InvolutionClassType") -> bool:
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         if self.kind == "sym":
@@ -402,10 +372,10 @@ def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
 def check_enumeration_order(r: int, n: int, max_order: int) -> None:
     """The resource guard on the involution module: refuse r^n*n! above
     max_order."""
-    if r**n * factorial(n) > max_order:
+    order = group_order(r, 1, 1, n)
+    if order > max_order:
         raise ResourceLimitError(
-            "involution enumeration needs r^n*n! <= %d (got %d)"
-            % (max_order, r**n * factorial(n))
+            "involution enumeration needs r^n*n! <= %d (got %d)" % (max_order, order)
         )
 
 

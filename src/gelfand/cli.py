@@ -25,7 +25,7 @@ from .characters import character_table, irreducible_count, label_degree
 from .classes import (
     ENUMERATION_GUARD,
     InvolutionClassType,
-    class_size,
+    class_sizes,
     enumerate_classes,
     enumerate_involution_classes,
     normal_element,
@@ -182,6 +182,7 @@ def _cmd_rs_apply(args) -> int:
 
 def _cmd_classes_list(args) -> int:
     labels = enumerate_classes(args.r, args.p, args.n)
+    sizes = class_sizes(args.r, args.p, args.n)
     if args.json:
         _emit_json(
             {
@@ -190,17 +191,17 @@ def _cmd_classes_list(args) -> int:
                 "classes": [
                     {
                         "label": str(label),
-                        "size": class_size(label),
+                        "size": size,
                         "normal": normal_element(label).window_str(),
                     }
-                    for label in labels
+                    for label, size in zip(labels, sizes)
                 ],
             }
         )
     else:
         _emit_rows(
-            (str(label), class_size(label), normal_element(label).window_str())
-            for label in labels
+            (str(label), size, normal_element(label).window_str())
+            for label, size in zip(labels, sizes)
         )
     return 0
 
@@ -208,6 +209,7 @@ def _cmd_classes_list(args) -> int:
 def _cmd_chartable(args) -> int:
     table = character_table(args.r, args.p, args.q, args.n)
     labels = enumerate_classes(args.r, args.p, args.n)
+    sizes = class_sizes(args.r, args.p, args.n)
     # the table shares one value object per distinct value: render each once
     text: dict = {}  # id(value) -> str(value); the table keeps values alive
     for _, row in table:
@@ -221,7 +223,7 @@ def _cmd_chartable(args) -> int:
                 "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 "classes": [
-                    {"label": str(c), "size": class_size(c)} for c in labels
+                    {"label": str(c), "size": size} for c, size in zip(labels, sizes)
                 ],
                 "rows": [
                     {
@@ -236,7 +238,7 @@ def _cmd_chartable(args) -> int:
     else:
         rows = [
             ("class",) + tuple(str(c) for c in labels),
-            ("size",) + tuple(class_size(c) for c in labels),
+            ("size",) + sizes,
         ]
         rows += [
             (str(row_label),) + tuple(values)

@@ -18,16 +18,14 @@ the scalar order q.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 from itertools import permutations, product
-from math import gcd
+from math import factorial, gcd
 
 from .errors import UnsupportedGroupError
-from .immutable import Immutable
+from .immutable import Value
 
 
-@total_ordering
-class ColoredPermutation(Immutable):
+class ColoredPermutation(Value):
     """An element of G(r,n) in window notation, immutable."""
 
     __slots__ = ("r", "perm", "colors")
@@ -136,17 +134,6 @@ class ColoredPermutation(Immutable):
 
     def _key(self):
         return (self.r, self.perm, self.colors)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredPermutation) and self._key() == other._key()
-        )
-
-    def __lt__(self, other) -> bool:
-        return self._key() < other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     # -- cycle structure -------------------------------------------------------
 
@@ -342,13 +329,10 @@ def check_supported_group(r: int, p: int, q: int, n: int) -> None:
 def group_order(r: int, p: int, q: int, n: int) -> int:
     """|G(r,p,q,n)| = r^n n! / (p q)."""
     check_group_parameters(r, p, q, n)
-    size = r**n
-    for k in range(2, n + 1):
-        size *= k
-    return size // (p * q)
+    return r**n * factorial(n) // (p * q)
 
 
-class ProjectiveElement(Immutable):
+class ProjectiveElement(Value):
     """An element of a quotient G(r,p,q,n) = G(r,p,n)/C_q.
 
     Stored as the lift whose color word is lexicographically least in the
@@ -417,17 +401,6 @@ class ProjectiveElement(Immutable):
 
     def _key(self):
         return (self.q, self.rep._key())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProjectiveElement) and self._key() == other._key()
-        )
-
-    def __lt__(self, other: "ProjectiveElement") -> bool:
-        return self._key() < other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __str__(self) -> str:
         return self.rep.window_str()

@@ -112,10 +112,6 @@ def rs_inverse(p_tab: MultiTableau, q_tab: MultiTableau, r: int) -> ColoredPermu
     return ColoredPermutation(r, tuple(perm), tuple(colors))
 
 
-def _half_shift(tab: MultiTableau) -> MultiTableau:
-    return multitableau_shift(tab, len(tab) // 2)
-
-
 def involution_tableau(v: ColoredPermutation) -> MultiTableau:
     """P-tableau of an absolute involution.
 
@@ -128,7 +124,7 @@ def involution_tableau(v: ColoredPermutation) -> MultiTableau:
         if q_tab != p_tab:
             raise InconsistencyError("symmetric element with distinct P and Q")
     elif kind == "antisymmetric":
-        if q_tab != _half_shift(p_tab):
+        if q_tab != multitableau_shift(p_tab, v.r // 2):
             raise InconsistencyError("antisymmetric element broke the half shift")
     else:
         raise ValueError("element is not an absolute involution")
@@ -137,7 +133,7 @@ def involution_tableau(v: ColoredPermutation) -> MultiTableau:
 
 def involution_from_tableau(p_tab: MultiTableau, antisymmetric: bool = False) -> ColoredPermutation:
     r = len(p_tab)
-    q_tab = _half_shift(p_tab) if antisymmetric else p_tab
+    q_tab = multitableau_shift(p_tab, r // 2) if antisymmetric else p_tab
     return rs_inverse(p_tab, q_tab, r)
 
 
@@ -160,9 +156,12 @@ def projective_rs(v: ProjectiveElement) -> tuple[tuple[MultiTableau, MultiTablea
 
     Multiplying a lift by the scalar of order s shifts the colors, hence
     rotates the components of both tableaux in step; the coset is recovered
-    from any one pair.
+    from any one pair.  So one insertion of the stored lift gives the
+    orbit: its pair shifted by every multiple of r/q.
     """
-    pairs = set()
-    for lift in v.lifts():
-        pairs.add(rs(lift))
+    p_tab, q_tab = rs(v.rep)
+    pairs = {
+        (multitableau_shift(p_tab, s), multitableau_shift(q_tab, s))
+        for s in range(0, v.r, v.r // v.q)
+    }
     return tuple(sorted(pairs))

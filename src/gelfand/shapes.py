@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import InconsistencyError, ResourceLimitError
-from .immutable import Immutable
+from .immutable import Value
 
 Shape = tuple  # tuple of partitions, each a weakly decreasing tuple of ints
 
@@ -73,9 +73,11 @@ def shape_str(shape: Shape) -> str:
 
 def shape_shift(shape: Shape, s: int) -> Shape:
     """Rotate components right by s: component i of the result is
-    component (i - s) mod r of the input."""
-    r = len(shape)
-    return tuple(shape[(i - s) % r] for i in range(r))
+    component (i - s) mod r of the input.  The one component shift of the
+    package: it also rotates multitableaux (multitableau_shift) and the
+    color count vectors of involution types."""
+    s = s % len(shape) if shape else 0
+    return shape[-s:] + shape[:-s]
 
 
 def enumerate_shapes(r: int, n: int, q: int = 1) -> list[Shape]:
@@ -98,7 +100,7 @@ def enumerate_shapes(r: int, n: int, q: int = 1) -> list[Shape]:
     return out
 
 
-class ShapeOrbit(Immutable):
+class ShapeOrbit(Value):
     """Orbit of a shape under component shift by r/p steps.
 
     m is the number of shifts fixing the shape (the stabilizer order in the
@@ -112,13 +114,8 @@ class ShapeOrbit(Immutable):
         r = len(shape)
         if p < 1 or r % p != 0:
             raise ValueError("p must divide the number of components")
-        step = r // p
-        seen = []
-        for k in range(p):
-            member = shape_shift(shape, k * step)
-            if member not in seen:
-                seen.append(member)
-        members = tuple(sorted(seen, key=shape_key))
+        shifts = {shape_shift(shape, s) for s in range(0, r, r // p)}
+        members = tuple(sorted(shifts, key=shape_key))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "canonical", members[0])
@@ -132,18 +129,11 @@ class ShapeOrbit(Immutable):
     def n(self) -> int:
         return shape_size(self.canonical)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShapeOrbit)
-            and self.p == other.p
-            and self.members == other.members
-        )
+    def _key(self):
+        return (self.p, self.members)
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.members))
-
-    def __lt__(self, other: "ShapeOrbit") -> bool:
-        return shape_key(self.canonical) < shape_key(other.canonical)
+    def sort_key(self):
+        return shape_key(self.canonical)
 
     def __str__(self) -> str:
         return "[" + shape_str(self.canonical) + "]"
@@ -293,9 +283,7 @@ def multitableau_shape(tab) -> Shape:
     return tuple(tableau_shape(comp) for comp in tab)
 
 
-def multitableau_shift(tab, s: int):
-    r = len(tab)
-    return tuple(tab[(i - s) % r] for i in range(r))
+multitableau_shift = shape_shift
 
 
 def multitableau_str(tab) -> str:

@@ -2,8 +2,8 @@
 package imports a name it never uses, no function of it takes a
 parameter it never reads (dunder methods aside), no private top-level
 function or class goes unreferenced, every name the package exports
-resolves, and exact values keep one representation behind one
-module."""
+resolves, exact values keep one representation behind one module, and
+value types keep one identity (==, hash, <) and one component shift."""
 
 import ast
 from collections import Counter
@@ -127,3 +127,22 @@ def test_only_cyclotomic_imports_fractions():
         if "fractions" in imported_modules(ast.parse(path.read_text()))
     ]
     assert importers == ["cyclotomic.py"]
+
+
+def test_only_the_value_base_defines_hash_and_order():
+    """Value types compare, hash and sort through gelfand.immutable.Value;
+    __hash__ = None, an assignment, stays allowed for the unhashable
+    Cyclotomic, ClassFunction and ModelAction."""
+    defining = sorted(
+        "%s:%s.%s" % (path.name, node.name, item.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__hash__", "__lt__")
+    )
+    assert defining == ["immutable.py:Value.__hash__", "immutable.py:Value.__lt__"]
+
+
+def test_one_component_shift():
+    assert gelfand.shapes.multitableau_shift is gelfand.shapes.shape_shift

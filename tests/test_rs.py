@@ -4,11 +4,12 @@ families of checks jointly pin the insertion convention: bijectivity with
 the mass identity, diagonal pairs on symmetric involutions, half-shifted
 pairs on antisymmetric ones, and the odd-column statistics per color."""
 
+import importlib
 import random
 
 import pytest
 
-from gelfand.classes import involution_type
+from gelfand.classes import enumerate_involution_classes, involution_type
 from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
@@ -135,3 +136,34 @@ def test_projective_rs_collects_lift_pairs():
     assert len(pairs) == 2  # shifts act freely on tableau pairs
     for p, q in pairs:
         assert multitableau_shape(p) == multitableau_shape(q)
+
+
+def _reference_projective_rs(v):
+    """The orbit of tableau pairs by inserting each of the q lifts."""
+    pairs = set()
+    for lift in v.lifts():
+        pairs.add(rs(lift))
+    return tuple(sorted(pairs))
+
+
+# the cosets have q = 4, 6, 3 and 2
+@pytest.mark.parametrize("r, p, n", [(4, 4, 4), (6, 6, 2), (6, 3, 4), (2, 2, 6)])
+def test_projective_rs_matches_inserting_every_lift(r, p, n):
+    for _, cosets in enumerate_involution_classes(r, p, 1, n):
+        for coset in cosets:
+            assert coset.q == p
+            assert projective_rs(coset) == _reference_projective_rs(coset)
+
+
+def test_projective_rs_inserts_once_per_coset(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return rs(g)
+
+    # the package exports the function rs under the module's own name
+    monkeypatch.setattr(importlib.import_module("gelfand.rs"), "rs", spy)
+    coset = ProjectiveElement(parse_window("[2^1,1^3,3^2,4^0]", 4), 4)
+    assert projective_rs(coset) == _reference_projective_rs(coset)
+    assert calls == [coset.rep]
