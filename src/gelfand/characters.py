@@ -21,7 +21,11 @@ one orbit of columns.  For split
 representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the
 two constituents are built as integer 2*chi, the restricted character
 plus or minus the closed-form difference character, and halved once.
-The table holds one value object per distinct value.
+The table is assembled column by column: each class gets one list of
+value objects, one per row, which the classes of one shape share when no
+row splits; each distinct histogram becomes a value once, reduced in
+ints; and a single zip(*columns) turns the columns into the rows.  So the
+table holds one value object per distinct value.
 
 A class function holds its values as a tuple in enumerate_classes order,
 one per class.  The table, the model's block characters and the checks
@@ -41,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .classes import (
     ConjugacyClass,
@@ -50,7 +55,7 @@ from .classes import (
     label_color,
 )
 from .colored import check_supported_group, group_order
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _HistogramValues
 from .errors import InconsistencyError
 from .immutable import Immutable, Value
 from .shapes import (
@@ -282,18 +287,28 @@ def _table_columns(lams, alphas):
     r = len(lams[0])
     reps = []
     index: dict = {}  # representative shape -> its position in reps
-    rotated = []  # per lam: (representative position, shift t)
+    positions = []  # per lam: its representative's position in reps
+    shifts = []  # per lam: the shift t from its representative
     for lam in lams:
         for t in range(r):
             pos = index.get(shape_shift(lam, -t))
             if pos is not None:
-                rotated.append((pos, t))
                 break
         else:
-            index[lam] = len(reps)
-            rotated.append((len(reps), 0))
+            t = 0
+            pos = index[lam] = len(reps)
             reps.append(lam)
+        positions.append(pos)
+        shifts.append(t)
     inverses = [pow(u, -1, r) for u in range(1, r + 1) if gcd(u, r) == 1]
+    # move[v, s] maps a walked histogram to the one at the image under v,
+    # rotated by s: entry e of it is entry v*(e - s) of the walked one
+    move = {}
+    for v in inverses:
+        for s in range(r):
+            entries = [v * (e - s) % r for e in range(r)]
+            move[v, s] = tuple if entries == list(range(r)) else itemgetter(*entries)
+    row_moves: dict = {}  # (v, total color c) -> per lam, move[v, t*c]
     done = set()
     for alpha in alphas:
         if alpha in done:
@@ -304,17 +319,13 @@ def _table_columns(lams, alphas):
             if image in done or image not in alphas:
                 continue
             done.add(image)
-            if image == alpha:
-                histograms = walked
-            else:
-                histograms = [tuple(h[v * j % r] for j in range(r)) for h in walked]
-            color = label_color(image)
-            column = []
-            for pos, t in rotated:
-                h = histograms[pos]
-                s = t * color % r
-                column.append(h[-s:] + h[:-s] if s else h)
-            yield image, column
+            color = label_color(image) % r
+            moves = row_moves.get((v, color))
+            if moves is None:
+                moves = row_moves[v, color] = [move[v, t * color % r] for t in shifts]
+            yield image, [
+                f(h) for f, h in zip(moves, map(walked.__getitem__, positions))
+            ]
 
 
 def character_table(r: int, p: int, q: int, n: int):
@@ -326,7 +337,8 @@ def character_table(r: int, p: int, q: int, n: int):
     rows restrict a wreath-product character; split rows are cut out of the
     restriction with the difference character.  Cells are computed one
     class shape at a time, for all rows at once, from the histograms of
-    _table_columns.
+    _table_columns, into one column per class; the columns are turned
+    into rows once, at the end.
     """
     check_supported_group(r, p, q, n)
     classes = enumerate_classes(r, p, n)
@@ -335,47 +347,49 @@ def character_table(r: int, p: int, q: int, n: int):
     split = [i for i, orbit in enumerate(orbits) if orbit.m > 1]
     mus = [lams[i][: r // 2] for i in split]
     labels = [IrreducibleLabel(orbit, j) for orbit in orbits for j in range(orbit.m)]
-    cells = [[None] * len(classes) for _ in labels]
-    # one shared value per histogram of chi (unsplit) and of 2 chi (split)
-    whole: dict = {}
-    doubled: dict = {}
+    # one shared value per histogram of chi, and of 2 chi on split rows
+    whole = _HistogramValues(r)
+    doubled = _HistogramValues(r, 2)
     columns: dict = {}
     for k, c in enumerate(classes):
         columns.setdefault(c.alpha, []).append((k, c.half))
+    # per class, its value in every row; allocated before the walks, whose
+    # short-lived memory would otherwise sit between the columns and raise
+    # the peak RSS (by about 1 MB on 4 1 1 6)
+    cells = [[None] * len(labels) for _ in classes]
     zero = (0,) * r
     for alpha, histograms in _table_columns(lams, columns):
-        column = columns[alpha]
+        unsplit = list(map(whole.__getitem__, histograms))
+        if not split:
+            for k, _ in columns[alpha]:
+                cells[k][:] = unsplit
+            continue
         # the difference character times 2, exponents doubled from r/2 to r
         deltas = [zero] * len(orbits)
-        if column[0][1] is not None:
+        if columns[alpha][0][1] is not None:
             halved, scale = _halved_class(alpha)
             for i, small in zip(split, _wreath_histograms(mus, _cycles(halved))):
                 delta = [0] * r
                 delta[::2] = [scale * x for x in small]
                 deltas[i] = delta
-        for k, half in column:
+        for k, half in columns[alpha]:
             sign = -1 if half else 1
-            row = 0
-            for orbit, histogram, delta in zip(orbits, histograms, deltas):
+            column = []
+            for orbit, value, histogram, delta in zip(
+                orbits, unsplit, histograms, deltas
+            ):
                 if orbit.m == 1:
-                    cell = whole.get(histogram)
-                    if cell is None:
-                        cell = whole[histogram] = Cyclotomic(r, histogram)
-                    cells[row][k] = cell
-                    row += 1
+                    column.append(value)
                     continue
                 # the split rows are 2 chi = restricted +- delta
-                for twice in (
-                    tuple(a + sign * b for a, b in zip(histogram, delta)),
-                    tuple(a - sign * b for a, b in zip(histogram, delta)),
-                ):
-                    cell = doubled.get(twice)
-                    if cell is None:
-                        cell = doubled[twice] = Cyclotomic(r, twice, 2)
-                    cells[row][k] = cell
-                    row += 1
+                for s in (sign, -sign):
+                    column.append(
+                        doubled[tuple(a + s * b for a, b in zip(histogram, delta))]
+                    )
+            cells[k][:] = column
     rows = [
-        (label, ClassFunction(r, p, n, row)) for label, row in zip(labels, cells)
+        (label, ClassFunction(r, p, n, row))
+        for label, row in zip(labels, zip(*cells))
     ]
     expected_squares = group_order(r, p, q, n)
     total_squares = 0
@@ -574,8 +588,13 @@ def decompose(
     check, which compares power-basis coefficients class by class and does
     no Cyclotomic arithmetic.
     """
+    return _decompose(f, table, dict(table), expected)
+
+
+def _decompose(f: ClassFunction, table, rows, expected):
+    """decompose, given rows, the table's {label: row} index, so that a
+    caller decomposing many characters over one table builds it once."""
     if expected is not None:
-        rows = dict(table)
         expected = set(expected)
         if expected <= rows.keys() and _reassembles(
             f, [(rows[label], 1) for label in expected]

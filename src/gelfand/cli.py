@@ -17,6 +17,7 @@ representation of the dual group, obtained by exchanging p and q.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -42,6 +43,10 @@ from .rs import rs
 from .shapes import multitableau_json, multitableau_shape, shape_str
 
 SCHEMA = 1
+# Least characters per stdout write, the last write excepted.  A block
+# holds its encoder chunks until it is joined, about 6 bytes per character,
+# so 16 KiB keeps that near 0.1 MB and 1 MB of JSON still takes 60 writes.
+BLOCK = 1 << 14
 
 
 def _resolve_max_order(args) -> int:
@@ -60,15 +65,33 @@ def _resolve_max_order(args) -> int:
     return value
 
 
+def _write_blocks(chunks) -> None:
+    """Write the chunks to stdout joined into blocks of at least BLOCK
+    characters, the last excepted: one write per block, never the whole
+    document at once.  Under PYTHONUNBUFFERED stdout writes through, so
+    each write is a system call."""
+    block = []
+    size = 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK:
+            sys.stdout.write("".join(block))
+            block.clear()
+            size = 0
+    if block:
+        sys.stdout.write("".join(block))
+
+
 def _emit_rows(rows) -> None:
-    for row in rows:
-        sys.stdout.write("\t".join(str(cell) for cell in row) + "\n")
+    _write_blocks("\t".join(str(cell) for cell in row) + "\n" for row in rows)
 
 
 def _emit_json(payload) -> None:
     # with indent set, json.dumps joins these same chunks
-    sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
-    sys.stdout.write("\n")
+    _write_blocks(
+        itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",))
+    )
 
 
 def _group_dict(r, p, q, n) -> dict:
@@ -211,12 +234,11 @@ def _cmd_chartable(args) -> int:
     labels = enumerate_classes(args.r, args.p, args.n)
     sizes = class_sizes(args.r, args.p, args.n)
     # the table shares one value object per distinct value: render each once
-    text: dict = {}  # id(value) -> str(value); the table keeps values alive
+    text: dict = {}  # id(value) -> value; the table keeps the values alive
     for _, row in table:
-        for value in row.values:
-            if id(value) not in text:
-                text[id(value)] = str(value)
-    rendered = [[text[id(value)] for value in row.values] for _, row in table]
+        text.update(zip(map(id, row.values), row.values))
+    text = {key: str(value) for key, value in text.items()}  # id(value) -> str
+    rendered = [list(map(text.__getitem__, map(id, row.values))) for _, row in table]
     if args.json:
         _emit_json(
             {

@@ -301,19 +301,20 @@ class Cyclotomic(Immutable):
 
     def __str__(self) -> str:
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, x in enumerate(self.nums):
+            if not x:
                 continue
+            g = gcd(x, self.den)
+            num, den = x // g, self.den // g
+            c = str(num) if den == 1 else "%d/%d" % (num, den)
             if k == 0:
-                terms.append(str(c))
+                terms.append(c)
                 continue
             mono = "z%d" % self.order if k == 1 else "z%d^%d" % (self.order, k)
-            if c == 1:
-                terms.append(mono)
-            elif c == -1:
-                terms.append("-" + mono)
-            else:
+            if den > 1 or num not in (1, -1):
                 terms.append("%s*%s" % (c, mono))
+            else:
+                terms.append(mono if num == 1 else "-" + mono)
         if not terms:
             return "0"
         out = terms[0]
@@ -340,6 +341,24 @@ class Cyclotomic(Immutable):
         for k, c in enumerate(self.coeffs):
             total += float(c) * z**k
         return total
+
+
+class _HistogramValues(dict):
+    """{histogram: sum_k histogram[k] * zeta_order^k / den} for tuples of
+    ints, one value per distinct histogram, reduced in ints the first
+    time it is looked up; no Fraction is built."""
+
+    __slots__ = ("order", "den")
+
+    def __init__(self, order: int, den: int = 1) -> None:
+        self.order = order
+        self.den = den
+
+    def __missing__(self, histogram) -> Cyclotomic:
+        value = self[histogram] = Cyclotomic._from_ints(
+            self.order, _reduce_mod_phi(histogram, self.order), self.den
+        )
+        return value
 
 
 def zeta(order: int, k: int = 1) -> Cyclotomic:

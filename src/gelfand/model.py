@@ -33,6 +33,7 @@ from operator import add, itemgetter
 from .characters import (
     ClassFunction,
     IrreducibleLabel,
+    _decompose,
     character_table,
     decompose,
     label_degree,
@@ -54,7 +55,7 @@ from .colored import (
     cycle_pairings,
     projective_conjugate,
 )
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _HistogramValues
 from .errors import InconsistencyError
 from .immutable import Immutable
 
@@ -558,15 +559,13 @@ def _scope_characters(r: int, p: int, n: int, histograms, groups) -> list[ClassF
     """The character of each group of blocks, class by class the sum of its
     blocks' histograms; one Cyclotomic per distinct histogram."""
     zero = [(0,) * r] * len(enumerate_classes(r, p, n))
-    values: dict[tuple, Cyclotomic] = {}
+    values = _HistogramValues(r)
     out = []
     for group in groups:
-        column = []
-        for cells in zip(*[histograms[ctype] for ctype in group] or [zero]):
-            histogram = tuple(map(sum, zip(*cells)))
-            if histogram not in values:
-                values[histogram] = Cyclotomic(r, histogram)
-            column.append(values[histogram])
+        column = [
+            values[tuple(map(sum, zip(*cells)))]
+            for cells in zip(*[histograms[ctype] for ctype in group] or [zero])
+        ]
         out.append(ClassFunction(r, p, n, column))
     return out
 
@@ -726,10 +725,11 @@ def verify_class_decomposition(
     else:
         raise ValueError("no involution class of type %s" % only)
     characters = _scope_characters(r, p, n, histograms, [(ctype,) for ctype in targets])
+    rows = dict(table)
     entries = []
     for ctype, character in zip(targets, characters):
         predicted = predicted_labels(ctype)
-        computed = decompose(character, table, predicted if certified else None)
+        computed = _decompose(character, table, rows, predicted if certified else None)
         entries.append(ClassVerification(ctype, sizes[ctype], predicted, computed))
     return VerificationReport(r, p, q, n, entries)
 

@@ -2,7 +2,9 @@
 determinism, and the guard/env-var plumbing."""
 
 import hashlib
+import io
 import json
+import math
 
 import pytest
 
@@ -427,3 +429,47 @@ def test_chartable_text_bytes_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "96d59d539be0fb018324d2b59e12c143c6b72725e0f02b95960c34a33acf9caa"
     )
+
+
+class WriteThroughCounter(io.TextIOBase):
+    """A text stream that keeps every write apart, as stdout does under
+    PYTHONUNBUFFERED=1, where each write is one system call."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["chartable", "--json", "--r", "4", "--p", "1", "--q", "1", "--n", "5"],
+            "39e61e6d1d93fb442d8396d69d76ff2e4f7169c562ba05ab7896da3e8da60690",
+        ),
+        (
+            ["chartable", "--r", "4", "--p", "2", "--q", "1", "--n", "4"],
+            "96d59d539be0fb018324d2b59e12c143c6b72725e0f02b95960c34a33acf9caa",
+        ),
+        (
+            ["involutions", "list", "--r", "2", "--p", "2", "--q", "1", "--n", "6"],
+            "63d0c296b97ebcdf0bedd838eeeb8363171c8caf30c82092f59185c8fc7de018",
+        ),
+    ],
+    ids=["chartable-json", "chartable-tsv", "involutions-list"],
+)
+def test_stdout_is_written_in_bounded_blocks(monkeypatch, argv, digest):
+    stream = WriteThroughCounter()
+    monkeypatch.setattr("sys.stdout", stream)
+    assert main(argv) == 0
+    data = "".join(stream.writes).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+    block = gelfand.cli.BLOCK
+    assert len(stream.writes) <= math.ceil(len(data) / block) + 2
+    assert max(len(text.encode()) for text in stream.writes) <= 2 * block

@@ -9,9 +9,10 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gelfand.characters import character_table
 from gelfand.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
@@ -529,3 +530,28 @@ def test_agrees_with_fraction_oracle(first, second, q, data):
     else:
         with pytest.raises(ValueError):
             a.rational_value()
+
+
+@pytest.mark.parametrize("group", [(6, 2, 1, 4), (4, 1, 1, 5)])
+def test_table_values_render_as_the_fraction_oracle(group):
+    distinct = {
+        id(value): value for _, row in character_table(*group) for value in row.values
+    }
+    for value in distinct.values():
+        assert str(value) == str(_FractionCyclotomic(value.order, value.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+    nums=st.lists(st.integers(-12, 12), max_size=12),
+    den=st.integers(1, 6),
+)
+@example(order=4, nums=[0, 0, 0, 0], den=3)  # zero
+@example(order=6, nums=[-3, 2], den=2)  # -3/2 + z6
+@example(order=12, nums=[-4, 0, 6, -2], den=2)  # every coefficient integral
+@example(order=1, nums=[-7], den=1)
+def test_str_renders_numerators_over_one_denominator_as_the_oracle(order, nums, den):
+    value = Cyclotomic(order, nums, den)
+    oracle = _FractionCyclotomic(order, [Fraction(x, den) for x in nums])
+    assert str(value) == str(oracle)

@@ -2,8 +2,9 @@
 package imports a name it never uses, no function of it takes a
 parameter it never reads (dunder methods aside), no private top-level
 function or class goes unreferenced, every name the package exports
-resolves, exact values keep one representation behind one module, and
-value types keep one identity (==, hash, <) and one component shift."""
+resolves, exact values keep one representation behind one module,
+value types keep one identity (==, hash, <) and one component shift,
+and the command line writes stdout only through its two emit helpers."""
 
 import ast
 from collections import Counter
@@ -146,3 +147,46 @@ def test_only_the_value_base_defines_hash_and_order():
 
 def test_one_component_shift():
     assert gelfand.shapes.multitableau_shift is gelfand.shapes.shape_shift
+
+
+
+def stdout_uses(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    ]
+
+
+def test_cli_writes_stdout_only_through_the_emit_helpers():
+    """In cli.py sys.stdout is touched only by _write_blocks, the block
+    writer, which only _emit_json and _emit_rows call; print always names
+    its file, so no line reaches stdout on its own."""
+    path = Path(gelfand.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    writer = stdout_uses(functions["_write_blocks"])
+    assert writer and len(stdout_uses(tree)) == len(writer)
+    callers = {
+        name
+        for name, function in functions.items()
+        if any(
+            isinstance(node, ast.Name) and node.id == "_write_blocks"
+            for node in ast.walk(function)
+        )
+    }
+    assert callers == {"_emit_json", "_emit_rows"}
+    bare_prints = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and not any(keyword.arg == "file" for keyword in node.keywords)
+    ]
+    assert not bare_prints, "print without file= at lines %s" % bare_prints
