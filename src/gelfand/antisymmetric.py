@@ -11,7 +11,7 @@ trace identity; the command line does not.
 
 from __future__ import annotations
 
-from .classes import ENUMERATION_GUARD, ConjugacyClass
+from .classes import ConjugacyClass
 from .colored import (
     ColoredPermutation,
     absolute_conjugate,
@@ -19,7 +19,7 @@ from .colored import (
     cycle_pairings,
 )
 from .cyclotomic import Cyclotomic
-from .errors import InconsistencyError, ResourceLimitError
+from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
 from .model import ModelBasis, model_character
 
 

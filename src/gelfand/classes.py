@@ -29,7 +29,7 @@ from .colored import (
     group_order,
     symmetric_elements,
 )
-from .errors import InconsistencyError, ResourceLimitError
+from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
 from .immutable import Value
 from .shapes import (
     Shape,
@@ -42,8 +42,6 @@ from .shapes import (
     shape_str,
     validate_shape,
 )
-
-ENUMERATION_GUARD = 10**6
 
 
 def _alpha_of(g: ColoredPermutation) -> Shape:

@@ -12,6 +12,9 @@ Conventions shared by every subcommand:
 For involutions and model subcommands, --r/--p/--q/--n describe the
 group whose absolute involutions span the module; that module is a
 representation of the dual group, obtained by exchanging p and q.
+
+Each subcommand imports the library modules it runs when it runs, so
+--help and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -22,25 +25,12 @@ import json
 import os
 import sys
 
-from .characters import character_table, irreducible_count, label_degree
-from .classes import (
-    ENUMERATION_GUARD,
-    InvolutionClassType,
-    class_sizes,
-    enumerate_classes,
-    enumerate_involution_classes,
-    normal_element,
-    predicted_shapes,
-)
-from .colored import check_group_parameters, group_order, parse_window
 from .errors import (
+    ENUMERATION_GUARD,
     InconsistencyError,
     ResourceLimitError,
     UnsupportedGroupError,
 )
-from .model import gelfand_check, verify_class_decomposition
-from .rs import rs
-from .shapes import multitableau_json, multitableau_shape, shape_str
 
 SCHEMA = 1
 # Least characters per stdout write, the last write excepted.  A block
@@ -99,6 +89,9 @@ def _group_dict(r, p, q, n) -> dict:
 
 
 def _cmd_group_info(args) -> int:
+    from .characters import irreducible_count
+    from .colored import check_group_parameters, group_order
+
     check_group_parameters(args.r, args.p, args.q, args.n)
     order = group_order(args.r, args.p, args.q, args.n)
     # for any finite group these two counts agree; both come from labels
@@ -121,6 +114,9 @@ def _cmd_group_info(args) -> int:
 
 
 def _involution_classes(args):
+    from .classes import enumerate_involution_classes
+    from .colored import check_group_parameters
+
     check_group_parameters(args.r, args.p, args.q, args.n)
     # elements live in G(r,p,q,n); the enumerator takes the dual's view
     return enumerate_involution_classes(
@@ -156,6 +152,8 @@ def _cmd_involutions_list(args) -> int:
 
 
 def _cmd_involutions_types(args) -> int:
+    from .classes import predicted_shapes
+
     classes = _involution_classes(args)
     predicted = {
         ctype: sorted(predicted_shapes(ctype)) for ctype, _ in classes
@@ -188,6 +186,10 @@ def _cmd_involutions_types(args) -> int:
 
 
 def _cmd_rs_apply(args) -> int:
+    from .colored import parse_window
+    from .rs import rs
+    from .shapes import multitableau_json, multitableau_shape, shape_str
+
     g = parse_window(args.window, args.r)
     p_tab, q_tab = rs(g)
     _emit_json(
@@ -204,6 +206,8 @@ def _cmd_rs_apply(args) -> int:
 
 
 def _cmd_classes_list(args) -> int:
+    from .classes import class_sizes, enumerate_classes, normal_element
+
     labels = enumerate_classes(args.r, args.p, args.n)
     sizes = class_sizes(args.r, args.p, args.n)
     if args.json:
@@ -230,6 +234,9 @@ def _cmd_classes_list(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
+    from .characters import character_table, label_degree
+    from .classes import class_sizes, enumerate_classes
+
     table = character_table(args.r, args.p, args.q, args.n)
     labels = enumerate_classes(args.r, args.p, args.n)
     sizes = class_sizes(args.r, args.p, args.n)
@@ -271,6 +278,9 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_model_decompose(args) -> int:
+    from .classes import InvolutionClassType
+    from .model import verify_class_decomposition
+
     only = None
     if args.cls is not None:
         only = InvolutionClassType.parse(args.cls, args.r, args.q)
@@ -289,6 +299,9 @@ def _cmd_model_decompose(args) -> int:
 
 
 def _cmd_model_gelfand_check(args) -> int:
+    from .characters import label_degree
+    from .model import gelfand_check
+
     rows, passed = gelfand_check(
         args.r, args.q, args.p, args.n, _resolve_max_order(args)
     )

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the default of the resource guard.
 
 The library distinguishes three failure modes beyond plain ValueError:
 parameters that name a group outside the supported regime, computations
@@ -17,6 +17,10 @@ class UnsupportedGroupError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed a configured size guard."""
+
+
+# The guard's default bound on the order of an enumerated group.
+ENUMERATION_GUARD = 10**6
 
 
 class InconsistencyError(RuntimeError):

@@ -40,7 +40,6 @@ from .characters import (
     rows_independent,
 )
 from .classes import (
-    ENUMERATION_GUARD,
     InvolutionClassType,
     check_enumeration_order,
     enumerate_classes,
@@ -56,7 +55,7 @@ from .colored import (
     projective_conjugate,
 )
 from .cyclotomic import Cyclotomic, _HistogramValues
-from .errors import InconsistencyError
+from .errors import ENUMERATION_GUARD, InconsistencyError
 from .immutable import Immutable
 
 

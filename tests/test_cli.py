@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
+import gelfand.characters
 import gelfand.cli
 from gelfand.characters import character_table
 from gelfand.cli import main
@@ -170,7 +172,7 @@ def test_chartable_renders_each_distinct_value_once(capsys, monkeypatch):
         rendered.append(id(value))
         return plain_str(value)
 
-    monkeypatch.setattr(gelfand.cli, "character_table", recorded_table)
+    monkeypatch.setattr(gelfand.characters, "character_table", recorded_table)
     monkeypatch.setattr(Cyclotomic, "__str__", counted_str)
     code, out, _ = run(
         capsys,
@@ -429,6 +431,44 @@ def test_chartable_text_bytes_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "96d59d539be0fb018324d2b59e12c143c6b72725e0f02b95960c34a33acf9caa"
     )
+
+
+# stdout sha256 of --help at 80 columns; the parser is built without the
+# library modules, so its text (the guard default included) is pinned here
+HELP_OUTPUT = [
+    ([], "a449c010b286b71ffc2b5280cb943cf8597f217e46120a883ed247065b20417b"),
+    (
+        ["model", "decompose"],
+        "37f6cb87c1e38104b9ea5996f7adf7c000004b4fc8e7e46106d85395a2bdb3d3",
+    ),
+    (
+        ["model", "gelfand-check"],
+        "daac8cbf3d8d88f750df25e245bf70bddb68101d0354bfc50779adb04024ab40",
+    ),
+    (
+        ["involutions", "list"],
+        "4f226c91a393587aac17e72855145cc484aeed9a97b8b6f28bdeef0d98be77d8",
+    ),
+    (["chartable"], "87d8e813c8dc349ecf7045e372300d327e91e96a96ddf0c04cccd23bf7db629c"),
+    (["rs", "apply"], "26c87f4fc4ac455395f3881cdbc7a0259c32845a6453adcb2108d3a649447126"),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse lays out help differently across Python versions; "
+    "the digests were recorded with Python 3.11",
+)
+@pytest.mark.parametrize(
+    "argv,digest",
+    HELP_OUTPUT,
+    ids=["-".join(argv) or "gelfand" for argv, _ in HELP_OUTPUT],
+)
+def test_help_bytes_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, argv + ["--help"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class WriteThroughCounter(io.TextIOBase):
