@@ -588,17 +588,10 @@ def decompose(
     check, which compares power-basis coefficients class by class and does
     no Cyclotomic arithmetic.
     """
-    return _decompose(f, table, dict(table), expected)
-
-
-def _decompose(f: ClassFunction, table, rows, expected):
-    """decompose, given rows, the table's {label: row} index, so that a
-    caller decomposing many characters over one table builds it once."""
     if expected is not None:
         expected = set(expected)
-        if expected <= rows.keys() and _reassembles(
-            f, [(rows[label], 1) for label in expected]
-        ):
+        terms = [(row, 1) for label, row in table if label in expected]
+        if len(terms) == len(expected) and _reassembles(f, terms):
             return sorted(
                 ((label, 1) for label in expected),
                 key=lambda pair: pair[0].sort_key(),

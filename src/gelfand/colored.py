@@ -106,14 +106,9 @@ class ColoredPermutation(Value):
         )
 
     def transpose(self) -> "ColoredPermutation":
-        n = self.n
-        perm = [0] * n
-        colors = [0] * n
-        for j in range(1, n + 1):
-            k = self.perm[j - 1]
-            perm[k - 1] = j
-            colors[k - 1] = self.colors[j - 1]
-        return ColoredPermutation(self.r, perm, colors)
+        """The transpose matrix: a monomial matrix with root-of-unity
+        entries is unitary, so this is the color conjugate of the inverse."""
+        return self.inverse().color_conjugate()
 
     def is_identity(self) -> bool:
         return all(s == j + 1 for j, s in enumerate(self.perm)) and not any(

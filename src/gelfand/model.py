@@ -33,7 +33,6 @@ from operator import add, itemgetter
 from .characters import (
     ClassFunction,
     IrreducibleLabel,
-    _decompose,
     character_table,
     decompose,
     label_degree,
@@ -724,11 +723,10 @@ def verify_class_decomposition(
     else:
         raise ValueError("no involution class of type %s" % only)
     characters = _scope_characters(r, p, n, histograms, [(ctype,) for ctype in targets])
-    rows = dict(table)
     entries = []
     for ctype, character in zip(targets, characters):
         predicted = predicted_labels(ctype)
-        computed = _decompose(character, table, rows, predicted if certified else None)
+        computed = decompose(character, table, predicted if certified else None)
         entries.append(ClassVerification(ctype, sizes[ctype], predicted, computed))
     return VerificationReport(r, p, q, n, entries)
 

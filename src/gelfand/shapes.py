@@ -222,7 +222,9 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
     increasing within every component.
 
     Each filling is a tuple of components, a component being a tuple of row
-    tuples.  Guarded to n <= 12.
+    tuples.  The entries are placed in order, each at the end of a row
+    shorter than both its target length and the row above it.  Guarded to
+    n <= 12.
     """
     validate_shape(shape)
     n = shape_size(shape)
@@ -232,45 +234,21 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
             % (STANDARD_ENUMERATION_LIMIT, n)
         )
 
-    def corners(rows_filled):
-        """Row indices where the next-smaller entry could be removed: cells
-        (i, rows_filled[i]-1) with rows_filled[i] > rows_filled[i+1]."""
-        out = []
-        for i, filled in enumerate(rows_filled):
-            if filled == 0:
-                continue
-            if i + 1 < len(rows_filled) and rows_filled[i + 1] == filled:
-                continue
-            out.append(i)
-        return out
-
-    def rec(entry, profiles):
-        # profiles: per component, tuple of filled-row lengths
-        if entry == 0:
-            yield tuple(() for _ in shape)
-            return
-        for c, prof in enumerate(profiles):
-            for i in corners(prof):
-                new_prof = list(prof)
-                new_prof[i] -= 1
-                new_profiles = profiles[:c] + (tuple(new_prof),) + profiles[c + 1 :]
-                for partial in rec(entry - 1, new_profiles):
-                    # place `entry` at the end of row i of component c
-                    comp_rows = [list(row) for row in partial[c]]
-                    while len(comp_rows) <= i:
-                        comp_rows.append([])
-                    comp_rows[i].append(entry)
-                    filled = tuple(tuple(row) for row in comp_rows)
-                    yield partial[:c] + (filled,) + partial[c + 1 :]
-
-    # profiles hold the row lengths still to fill, starting at the full shape
-    start = tuple(tuple(comp) for comp in shape)
+    rows = [[[] for _ in comp] for comp in shape]
     result = []
-    for filling in rec(n, start):
-        fixed = tuple(
-            tuple(tuple(row) for row in compo if row) for compo in filling
-        )
-        result.append(fixed)
+
+    def place(entry):
+        if entry > n:
+            result.append(tuple(tuple(map(tuple, comp)) for comp in rows))
+            return
+        for comp, lengths in zip(rows, shape):
+            for i, row in enumerate(comp):
+                if len(row) < lengths[i] and (i == 0 or len(row) < len(comp[i - 1])):
+                    row.append(entry)
+                    place(entry + 1)
+                    row.pop()
+
+    place(1)
     result.sort()
     return result
 

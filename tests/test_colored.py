@@ -81,6 +81,36 @@ def test_inverse_and_transpose_match_matrices():
         )
 
 
+def _reference_transpose(g):
+    """The transpose read off the window: |g|(j) = k becomes k -> j with
+    the same color."""
+    perm = [0] * g.n
+    colors = [0] * g.n
+    for j in range(1, g.n + 1):
+        k = g.image(j)
+        perm[k - 1] = j
+        colors[k - 1] = g.color(j)
+    return ColoredPermutation(g.r, perm, colors)
+
+
+@pytest.mark.parametrize("r, n", [(1, 5), (2, 5), (3, 4), (4, 4)])
+def test_transpose_properties(r, n):
+    elements = list(all_elements(r, n))
+    for g in elements:
+        t = g.transpose()
+        assert t == _reference_transpose(g)
+        assert t.transpose() == g
+    rng = random.Random(r * 10 + n)
+    for g, h in zip(rng.sample(elements, 50), rng.sample(elements, 50)):
+        assert (g * h).transpose() == h.transpose() * g.transpose()
+    for w in symmetric_elements(r, n):
+        assert w.transpose() == w
+    if r % 2 == 0:
+        minus = ColoredPermutation.scalar(r, n, r // 2)
+        for w in antisymmetric_elements(r, n):
+            assert w.transpose() == w * minus
+
+
 def test_color_conjugate_is_entrywise_conjugation():
     g = parse_window("[3^1,1^2,2^0]", 3)
     mc = matrix_of(g.color_conjugate())
@@ -390,3 +420,31 @@ def test_value_types_are_immutable():
         with pytest.raises(AttributeError, match=type(value).__name__):
             value.r = 3
         assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("r, p, q, n", [(2, 1, 2, 4), (4, 2, 2, 3), (6, 2, 3, 2)])
+def test_quotient_group_operations(r, p, q, n):
+    elements = list(subgroup_elements(r, p, n))
+    step = r // q
+    scalars = {ColoredPermutation.scalar(r, n, k * step) for k in range(q)}
+    assert {g for g in elements if ProjectiveElement(g, q).is_identity()} == scalars
+    for g in elements:
+        v = ProjectiveElement(g, q)
+        assert (v.inverse() * v).is_identity() and (v * v.inverse()).is_identity()
+        assert v.inverse() == ProjectiveElement(g.inverse(), q)
+        assert v.color_conjugate() == ProjectiveElement(g.color_conjugate(), q)
+        assert {lift.symmetry_kind() for lift in v.lifts()} == {v.symmetry_kind()}
+        assert v.symmetry_kind() == v.rep.symmetry_kind()
+        assert str(v) == v.rep.window_str()
+        assert parse_window(str(v), r) in v.lifts()
+        assert repr(v) == "ProjectiveElement(q=%d, %s)" % (q, v)
+    rng = random.Random(r * 100 + q * 10 + n)
+    for g, h in zip(rng.choices(elements, k=40), rng.choices(elements, k=40)):
+        v, w = ProjectiveElement(g, q), ProjectiveElement(h, q)
+        # the coset of a product does not depend on the lifts multiplied
+        for a in v.lifts():
+            for b in w.lifts():
+                assert ProjectiveElement(a * b, q) == v * w
+    g = elements[1]
+    with pytest.raises(ValueError, match="different quotients"):
+        ProjectiveElement(g, q) * ProjectiveElement(g, 1)

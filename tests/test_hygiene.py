@@ -2,9 +2,10 @@
 package imports a name it never uses, no function of it takes a
 parameter it never reads (dunder methods aside), no private top-level
 function or class goes unreferenced, every name the package exports
-resolves, exact values keep one representation behind one module,
-value types keep one identity (==, hash, <) and one component shift,
-and the command line writes stdout only through its two emit helpers."""
+resolves and README.md names it, exact values keep one representation
+behind one module, value types keep one identity (==, hash, <) and one
+component shift, and the command line writes stdout only through its
+two emit helpers."""
 
 import ast
 from collections import Counter
@@ -75,6 +76,12 @@ def test_no_private_definition_is_dead():
 def test_all_names_resolve():
     missing = [name for name in gelfand.__all__ if not hasattr(gelfand, name)]
     assert not missing
+
+
+def test_readme_documents_every_public_name():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    undocumented = [name for name in gelfand.__all__ if "`%s`" % name not in readme]
+    assert not undocumented, "README.md never names %s" % undocumented
 
 
 def unread_parameters(tree):

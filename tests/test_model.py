@@ -103,6 +103,17 @@ def test_pairing_rejects_lift_dependent_pair():
         pairing(odd, v)
 
 
+def test_pairing_of_a_coset_is_lift_independent():
+    # a coset as the first argument: its lifts' colors differ by multiples
+    # of r/q, so the pairing needs the other color sum times r/q = 0 mod r
+    g = ProjectiveElement(parse_window("[2^1,1^3,3^0]", 4), 2)
+    even = parse_window("[1^1,3^0,2^1]", 4)  # color sum 2
+    assert {pairing(lift, even) for lift in g.lifts()} == {pairing(g, even)}
+    odd = parse_window("[1^1,3^0,2^0]", 4)  # color sum 1
+    with pytest.raises(ValueError, match="lift-independent"):
+        pairing(g, odd)
+
+
 def test_inv_statistic_hand_values():
     v = parse_window("[2^0,1^0,4^0,3^0]", 2)  # pairs {1,2},{3,4}
     assert inv_statistic(parse_window("[3^0,1^0,4^0,2^0]", 2), v) == 2
@@ -960,6 +971,29 @@ def test_basis_builds_one_permutation_per_lift(monkeypatch):
     calls.clear()
     assert ProjectiveElement(least, 2).rep is least
     assert not calls
+
+
+def test_every_block_is_proved_by_one_public_decompose(monkeypatch):
+    calls = []
+    decompose = gelfand.model.decompose
+
+    def counted(character, table, expected=None):
+        calls.append(expected)
+        return decompose(character, table, expected)
+
+    monkeypatch.setattr(gelfand.model, "decompose", counted)
+    report = verify_class_decomposition(2, 2, 1, 4)
+    assert report.passed
+    assert len(calls) == len(report.entries)
+    # the table is certified, so each call names its block's prediction
+    assert [tuple(expected) for expected in calls] == [
+        entry.predicted for entry in report.entries
+    ]
+    calls.clear()
+    only = InvolutionClassType.parse("asym[2]", 2, 2)
+    assert verify_class_decomposition(2, 2, 1, 4, only=only).passed
+    assert len(calls) == 1
+    assert not hasattr(gelfand.characters, "_decompose")
 
 
 def test_predicted_labels_shape():

@@ -1,5 +1,6 @@
 """Multipartitions, shift orbits, and standard filling counts.  Hook
-formula results are cross-checked against explicit enumeration."""
+formula results are cross-checked against explicit enumeration, and the
+enumeration against an independent recursion over row profiles."""
 
 import pytest
 from hypothesis import given, settings
@@ -159,3 +160,70 @@ def test_hook_formula_agrees_with_enumeration(n):
             assert count_standard_tableaux(lam) == len(
                 enumerate_standard((lam,))
             )
+
+
+def _profile_fillings(shape):
+    """Standard fillings by the backwards walk over row profiles: entry n
+    is removed from a corner of the rows still to fill, then n - 1, and so
+    on down to 1, each placed at the end of its row on the way back."""
+
+    def corners(rows_filled):
+        out = []
+        for i, filled in enumerate(rows_filled):
+            if filled == 0:
+                continue
+            if i + 1 < len(rows_filled) and rows_filled[i + 1] == filled:
+                continue
+            out.append(i)
+        return out
+
+    def rec(entry, profiles):
+        if entry == 0:
+            yield tuple(() for _ in shape)
+            return
+        for c, prof in enumerate(profiles):
+            for i in corners(prof):
+                new_prof = list(prof)
+                new_prof[i] -= 1
+                new_profiles = profiles[:c] + (tuple(new_prof),) + profiles[c + 1 :]
+                for partial in rec(entry - 1, new_profiles):
+                    comp_rows = [list(row) for row in partial[c]]
+                    while len(comp_rows) <= i:
+                        comp_rows.append([])
+                    comp_rows[i].append(entry)
+                    filled = tuple(tuple(row) for row in comp_rows)
+                    yield partial[:c] + (filled,) + partial[c + 1 :]
+
+    start = tuple(tuple(comp) for comp in shape)
+    n = sum(sum(comp) for comp in shape)
+    return sorted(
+        tuple(tuple(tuple(row) for row in comp if row) for comp in filling)
+        for filling in rec(n, start)
+    )
+
+
+def _is_standard(tab, shape):
+    entries = sorted(x for comp in tab for row in comp for x in row)
+    if entries != list(range(1, len(entries) + 1)):
+        return False
+    if multitableau_shape(tab) != shape:
+        return False
+    for comp in tab:
+        for row in comp:
+            if any(a >= b for a, b in zip(row, row[1:])):
+                return False
+        for upper, lower in zip(comp, comp[1:]):
+            if any(a >= b for a, b in zip(upper, lower)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_standard_fillings_match_profile_recursion(r):
+    for n in range(7):
+        for shape in enumerate_shapes(r, n):
+            fillings = enumerate_standard(shape)
+            assert fillings == _profile_fillings(shape)
+            assert len(fillings) == count_standard(shape)
+            assert all(_is_standard(tab, shape) for tab in fillings)
+    assert enumerate_standard(((),) * r) == [((),) * r]
