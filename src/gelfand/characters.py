@@ -281,8 +281,7 @@ def _table_columns(lams, alphas):
     zeta^(t*c), c the total color of alpha.  The representative's
     histograms are walked at the first class shape of each orbit under
     color scaling by the units u of Z/r; at the image u.alpha (component
-    u*i of it is component i of alpha) exponent e moves to u*e.  Images
-    that are not in alphas are skipped.
+    u*i of it is component i of alpha) exponent e moves to u*e.
     """
     r = len(lams[0])
     reps = []
@@ -316,7 +315,7 @@ def _table_columns(lams, alphas):
         walked = _wreath_histograms(reps, _cycles(alpha))
         for v in inverses:  # v = 1/u: image component j is alpha's v*j
             image = tuple(alpha[v * j % r] for j in range(r))
-            if image in done or image not in alphas:
+            if image in done:
                 continue
             done.add(image)
             color = label_color(image) % r

@@ -96,20 +96,17 @@ def _cmd_group_info(args) -> int:
     order = group_order(args.r, args.p, args.q, args.n)
     # for any finite group these two counts agree; both come from labels
     count = irreducible_count(args.r, args.p, args.q, args.n)
+    rows = (("order", order), ("classes", count), ("irreducibles", count))
     if args.json:
         _emit_json(
             {
                 "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
-                "order": order,
-                "classes": count,
-                "irreducibles": count,
+                **dict(rows),
             }
         )
     else:
-        _emit_rows(
-            [("order", order), ("classes", count), ("irreducibles", count)]
-        )
+        _emit_rows(rows)
     return 0
 
 
@@ -154,34 +151,22 @@ def _cmd_involutions_list(args) -> int:
 def _cmd_involutions_types(args) -> int:
     from .classes import predicted_shapes
 
-    classes = _involution_classes(args)
-    predicted = {
-        ctype: sorted(predicted_shapes(ctype)) for ctype, _ in classes
-    }
+    rows = (
+        (str(ctype), len(members), [str(o) for o in sorted(predicted_shapes(ctype))])
+        for ctype, members in _involution_classes(args)
+    )
     if args.json:
         _emit_json(
             {
                 "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 "types": [
-                    {
-                        "type": str(ctype),
-                        "size": len(members),
-                        "predicted": [str(orbit) for orbit in predicted[ctype]],
-                    }
-                    for ctype, members in classes
+                    dict(zip(("type", "size", "predicted"), row)) for row in rows
                 ],
             }
         )
     else:
-        _emit_rows(
-            (
-                str(ctype),
-                len(members),
-                " ".join(str(orbit) for orbit in predicted[ctype]),
-            )
-            for ctype, members in classes
-        )
+        _emit_rows((ctype, size, " ".join(shapes)) for ctype, size, shapes in rows)
     return 0
 
 
@@ -209,27 +194,22 @@ def _cmd_classes_list(args) -> int:
     from .classes import class_sizes, enumerate_classes, normal_element
 
     labels = enumerate_classes(args.r, args.p, args.n)
-    sizes = class_sizes(args.r, args.p, args.n)
+    rows = (
+        (str(label), size, normal_element(label).window_str())
+        for label, size in zip(labels, class_sizes(args.r, args.p, args.n))
+    )
     if args.json:
         _emit_json(
             {
                 "schema": SCHEMA,
                 "group": {"r": args.r, "p": args.p, "n": args.n},
                 "classes": [
-                    {
-                        "label": str(label),
-                        "size": size,
-                        "normal": normal_element(label).window_str(),
-                    }
-                    for label, size in zip(labels, sizes)
+                    dict(zip(("label", "size", "normal"), row)) for row in rows
                 ],
             }
         )
     else:
-        _emit_rows(
-            (str(label), size, normal_element(label).window_str())
-            for label, size in zip(labels, sizes)
-        )
+        _emit_rows(rows)
     return 0
 
 

@@ -187,30 +187,18 @@ class ColoredPermutation(Value):
     def symmetry_kind(self) -> str:
         """'symmetric', 'antisymmetric', or 'neither', as a matrix.
 
-        Symmetric means equal to its transpose: |g| is an involution and the
-        two rows of each 2-cycle share a color.  Antisymmetric means equal to
-        the negated transpose: r is even, |g| has no fixed points, and every
-        2-cycle's colors differ by r/2.
+        Read off the color shifts z_{|g|(j)} - z_j of an involution |g|:
+        symmetric (equal to its transpose) when every shift is 0,
+        antisymmetric (equal to the negated transpose) when every shift is
+        r/2, which leaves no fixed point, and neither otherwise.
         """
-        n = self.n
-        involution = all(self.perm[self.perm[j - 1] - 1] == j for j in range(1, n + 1))
-        if not involution:
+        perm, colors, r = self.perm, self.colors, self.r
+        if any(perm[k - 1] != j for j, k in enumerate(perm, 1)):
             return "neither"
-        symmetric = True
-        antisymmetric = self.r % 2 == 0
-        half = self.r // 2 if self.r % 2 == 0 else None
-        for j in range(1, n + 1):
-            k = self.perm[j - 1]
-            if k == j:
-                antisymmetric = False
-                continue
-            if self.colors[k - 1] != self.colors[j - 1]:
-                symmetric = False
-            if half is None or self.colors[k - 1] != (self.colors[j - 1] + half) % self.r:
-                antisymmetric = False
-        if symmetric:
+        shifts = {(colors[k - 1] - z) % r for k, z in zip(perm, colors)}
+        if shifts <= {0}:
             return "symmetric"
-        if antisymmetric:
+        if r % 2 == 0 and shifts == {r // 2}:
             return "antisymmetric"
         return "neither"
 

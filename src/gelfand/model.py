@@ -585,30 +585,22 @@ def _block_sizes(histograms) -> dict:
 
 def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> ClassFunction:
     """Trace of the action on a scope, as a class function on G(r,p,n):
-    the sum of the scope's block characters."""
-    return _block_characters(basis, [scope], twist)[0]
+    the sum of the scope's block characters, from one sweep.
 
-
-def _block_characters(basis: ModelBasis, scopes, twist: bool = True) -> list[ClassFunction]:
-    """The traces of the action on disjoint scopes, from one sweep.
-
-    Every vector of the scopes must be symmetric or antisymmetric, the
-    scopes may share no block, and the sweep's block sizes must be the
-    basis's.
+    Every vector of the scope must be symmetric or antisymmetric, and the
+    sweep's block sizes must be the basis's.
     """
-    for scope in scopes:
-        for i in basis.scope_indices(scope):
-            if basis.elements[i].rep.symmetry_kind() == "neither":
-                raise ValueError("basis element is neither symmetric nor antisymmetric")
-    groups = [basis.scope_types(scope) for scope in scopes]
-    claimed = [ctype for group in groups for ctype in group]
-    if len(set(claimed)) != len(claimed):
-        raise ValueError("scopes overlap")
+    for i in basis.scope_indices(scope):
+        if basis.elements[i].rep.symmetry_kind() == "neither":
+            raise ValueError("basis element is neither symmetric nor antisymmetric")
     histograms = _type_histograms(basis.r, basis.p, basis.q, basis.n, twist)
     sizes = _block_sizes(histograms)
     if sizes != {ctype: len(basis.blocks[ctype]) for ctype in basis.types}:
         raise InconsistencyError("swept block sizes differ from the basis")
-    return _scope_characters(basis.r, basis.p, basis.n, histograms, groups)
+    (character,) = _scope_characters(
+        basis.r, basis.p, basis.n, histograms, [basis.scope_types(scope)]
+    )
+    return character
 
 
 def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]:

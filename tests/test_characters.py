@@ -6,6 +6,7 @@ orthogonality, inner products, and exact decomposition."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, gcd
 
 import pytest
@@ -377,6 +378,20 @@ def test_table_walks_one_row_per_rotation_class_and_column_per_galois_orbit(
     # no shift of components or unit color scaling to use
     for group in [(1, 1, 1, 6), (2, 2, 1, 6)]:
         assert sum(_walked(monkeypatch, group)) <= _walked_per_column(*group)
+
+
+def test_class_shapes_are_closed_under_color_scaling():
+    # character_table takes the image of a class shape under a unit of Z/r
+    # for a class shape of the same group, and would stop with a KeyError
+    # on one that is not; every supported G(r,p,n) with r <= 8 and n <= 5
+    for r, p, n in product(range(1, 9), range(1, 9), range(1, 6)):
+        if r % p or gcd(p, n) > 2:
+            continue
+        alphas = {c.alpha for c in enumerate_classes(r, p, n)}
+        for v in (v for v in range(1, r + 1) if gcd(v, r) == 1):
+            for alpha in alphas:
+                image = tuple(alpha[v * j % r] for j in range(r))
+                assert image in alphas, (r, p, n, v, alpha)
 
 
 def test_delta1_values_on_split_classes():

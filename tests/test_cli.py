@@ -408,6 +408,27 @@ PINNED_OUTPUT = [
         ["chartable", "--json", "--r", "6", "--p", "2", "--q", "1", "--n", "2"],
         "97f8d42d0d01d1e9348fb63c66978725182c4d3a011448b42b3f3fd982cf997d",
     ),
+    (
+        ["group", "info", "--json", "--r", "4", "--p", "2", "--q", "2", "--n", "4"],
+        "8a06f736e8611cf6424fad189a59d55c321424a7b287c254096c13df84bc1211",
+    ),
+]
+
+# the TSV renderings; kept apart from PINNED_OUTPUT, whose ids drop flags
+PINNED_TSV_OUTPUT = [
+    (
+        ["group", "info", "--r", "4", "--p", "2", "--q", "2", "--n", "4"],
+        "7330135ee2a34cd5f6133bae7003ffcd8b8047dc278cf54cbbc96a282d1488ce",
+    ),
+    (
+        # G(4,2,4) has split classes
+        ["classes", "list", "--r", "4", "--p", "2", "--n", "4"],
+        "a5d1be41d44fcd25e17e42bc83a1ce0b7261167346d52bb76a9a6525efe71f1f",
+    ),
+    (
+        ["involutions", "types", "--r", "2", "--p", "1", "--q", "2", "--n", "6"],
+        "42cc833fb022a17c9e4e1ff63d56391dfbd8393bf65e1617eca36afcfe185d3b",
+    ),
 ]
 
 
@@ -417,6 +438,17 @@ PINNED_OUTPUT = [
     ids=["-".join(a for a in argv if not a.startswith("--")) for argv, _ in PINNED_OUTPUT],
 )
 def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    PINNED_TSV_OUTPUT,
+    ids=["-".join(a for a in argv if not a.startswith("--")) for argv, _ in PINNED_TSV_OUTPUT],
+)
+def test_tsv_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -308,6 +308,41 @@ def test_symmetry_kinds():
     assert parse_window("[2^1,1^0,3^1]", 4).symmetry_kind() == "neither"
 
 
+def _loop_symmetry_kind(self) -> str:
+    """ColoredPermutation.symmetry_kind as a loop with one flag per kind,
+    verbatim the implementation before it read the set of color shifts."""
+    n = self.n
+    involution = all(self.perm[self.perm[j - 1] - 1] == j for j in range(1, n + 1))
+    if not involution:
+        return "neither"
+    symmetric = True
+    antisymmetric = self.r % 2 == 0
+    half = self.r // 2 if self.r % 2 == 0 else None
+    for j in range(1, n + 1):
+        k = self.perm[j - 1]
+        if k == j:
+            antisymmetric = False
+            continue
+        if self.colors[k - 1] != self.colors[j - 1]:
+            symmetric = False
+        if half is None or self.colors[k - 1] != (self.colors[j - 1] + half) % self.r:
+            antisymmetric = False
+    if symmetric:
+        return "symmetric"
+    if antisymmetric:
+        return "antisymmetric"
+    return "neither"
+
+
+# every element of G(r,n) for r <= 3, n <= 5 and for r <= 6, n <= 3, with
+# the empty element of each r
+@pytest.mark.parametrize("r", range(1, 7))
+def test_symmetry_kind_matches_flag_loop(r):
+    for n in range(6 if r <= 3 else 4):
+        for g in all_elements(r, n):
+            assert g.symmetry_kind() == _loop_symmetry_kind(g), g
+
+
 def test_absolute_involutions_strict():
     # g * conj(g) must be the identity, not merely a scalar
     sym = parse_window("[2^1,1^1,3^0]", 2)

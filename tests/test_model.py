@@ -57,7 +57,6 @@ from gelfand.errors import (
 from gelfand.model import (
     ModelBasis,
     _action_scalar,
-    _block_characters,
     _block_sizes,
     _class_window,
     _commuting_involutions,
@@ -611,11 +610,11 @@ def test_commuting_involutions_match_recursion(flags):
 )
 def test_signature_sweep_matches_bucket_sweep(flags, monkeypatch):
     basis = _basis_from_flags(*flags)
-    # one sweep per twist serves all three scope sets
+    # one sweep per twist serves every scope
     monkeypatch.setattr(gelfand.model, "_type_histograms", cache(_type_histograms))
     for twist in (True, False):
         for scopes in (basis.types, ("M0", "M1"), ("all",)):
-            ours = _block_characters(basis, scopes, twist)
+            ours = [model_character(basis, scope, twist) for scope in scopes]
             assert ours == _bucket_block_characters(basis, scopes, twist), (scopes, twist)
 
 
@@ -690,7 +689,7 @@ def _reference_inner_product(f, g):
 def test_inner_product_matches_per_class_sizes(flags, monkeypatch):
     basis = _basis_from_flags(*flags)
     table = character_table(basis.r, basis.p, basis.q, basis.n)
-    blocks = _block_characters(basis, basis.types)
+    blocks = [model_character(basis, ctype) for ctype in basis.types]
     for f in blocks:
         for _, row in table:
             assert inner_product(f, row) == _reference_inner_product(f, row)
@@ -754,24 +753,14 @@ def test_model_character_matches_window_loop(flags, blocks):
 @pytest.mark.parametrize(
     "flags", DIFFERENTIAL_BASES + [(4, 1, 2, 4)], ids=_flags_id
 )
-def test_one_sweep_matches_each_block_alone(flags):
+def test_one_sweep_matches_each_block_alone(flags, monkeypatch):
     basis = _basis_from_flags(*flags)
+    # one sweep per twist serves every block and both halves
+    monkeypatch.setattr(gelfand.model, "_type_histograms", cache(_type_histograms))
     for twist in (True, False):
-        swept = _block_characters(basis, basis.types, twist)
-        assert len(swept) == len(basis.types)
-        for ctype, ours in zip(basis.types, swept):
-            assert ours == _window_model_character(basis, ctype, twist), (ctype, twist)
-        halves = _block_characters(basis, ["M0", "M1"], twist)
-        assert halves == [
-            _window_model_character(basis, half, twist) for half in ("M0", "M1")
-        ]
-
-
-def test_sweep_rejects_overlapping_scopes():
-    basis = ModelBasis(2, 2, 1, 4)
-    for scopes in (["all", basis.types[0]], ["M0", "all"], [basis.types[1]] * 2):
-        with pytest.raises(ValueError, match="scopes overlap"):
-            _block_characters(basis, scopes)
+        for scope in basis.types + ("M0", "M1"):
+            ours = model_character(basis, scope, twist)
+            assert ours == _window_model_character(basis, scope, twist), (scope, twist)
 
 
 def test_verification_builds_each_class_window_once(monkeypatch):
