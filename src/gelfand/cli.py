@@ -3,7 +3,7 @@
 Conventions shared by every subcommand:
   - tabular commands print TSV and switch to JSON with --json; rs and
     model commands print JSON always
-  - JSON payloads carry a schema version field
+  - every JSON document leads with a schema version field
   - exact values render in cyclotomic monomial form
   - exit status 0 on success, 1 when a verification reports failure, 2
     on usage errors and resource-guard violations, 3 when an internal
@@ -78,9 +78,11 @@ def _emit_rows(rows) -> None:
 
 
 def _emit_json(payload) -> None:
-    # with indent set, json.dumps joins these same chunks
+    # the schema field leads every document; with indent set, json.dumps
+    # joins these same chunks
+    document = {"schema": SCHEMA, **payload}
     _write_blocks(
-        itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",))
+        itertools.chain(json.JSONEncoder(indent=2).iterencode(document), ("\n",))
     )
 
 
@@ -100,7 +102,6 @@ def _cmd_group_info(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 **dict(rows),
             }
@@ -126,7 +127,6 @@ def _cmd_involutions_list(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 "classes": [
                     {
@@ -158,7 +158,6 @@ def _cmd_involutions_types(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 "types": [
                     dict(zip(("type", "size", "predicted"), row)) for row in rows
@@ -179,7 +178,6 @@ def _cmd_rs_apply(args) -> int:
     p_tab, q_tab = rs(g)
     _emit_json(
         {
-            "schema": SCHEMA,
             "r": args.r,
             "window": g.window_str(),
             "p": multitableau_json(p_tab),
@@ -201,7 +199,6 @@ def _cmd_classes_list(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA,
                 "group": {"r": args.r, "p": args.p, "n": args.n},
                 "classes": [
                     dict(zip(("label", "size", "normal"), row)) for row in rows
@@ -229,7 +226,6 @@ def _cmd_chartable(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA,
                 "group": _group_dict(args.r, args.p, args.q, args.n),
                 "classes": [
                     {"label": str(c), "size": size} for c, size in zip(labels, sizes)
@@ -272,9 +268,7 @@ def _cmd_model_decompose(args) -> int:
         max_order=_resolve_max_order(args),
         only=only,
     )
-    payload = {"schema": SCHEMA}
-    payload.update(report.to_json())
-    _emit_json(payload)
+    _emit_json(report.to_json())
     return 0 if report.passed else 1
 
 
@@ -287,7 +281,6 @@ def _cmd_model_gelfand_check(args) -> int:
     )
     _emit_json(
         {
-            "schema": SCHEMA,
             "acting_group": _group_dict(args.r, args.q, args.p, args.n),
             "basis_group": _group_dict(args.r, args.p, args.q, args.n),
             "irreducibles": [

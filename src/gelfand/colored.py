@@ -111,9 +111,7 @@ class ColoredPermutation(Value):
         return self.inverse().color_conjugate()
 
     def is_identity(self) -> bool:
-        return all(s == j + 1 for j, s in enumerate(self.perm)) and not any(
-            self.colors
-        )
+        return self.is_scalar() and not any(self.colors)
 
     def is_scalar(self) -> bool:
         return all(s == j + 1 for j, s in enumerate(self.perm)) and len(

@@ -73,11 +73,8 @@ def pairing(g, v) -> int:
     if gl.r != vl.r or gl.n != vl.n:
         raise ValueError("elements live in different groups")
     r = gl.r
-    if isinstance(v, ProjectiveElement):
-        if (gl.color_sum() * (r // v.q)) % r != 0:
-            raise ValueError("pairing is not lift-independent for this pair")
-    if isinstance(g, ProjectiveElement):
-        if (vl.color_sum() * (r // g.q)) % r != 0:
+    for coset, other in ((v, gl), (g, vl)):
+        if isinstance(coset, ProjectiveElement) and other.color_sum() * (r // coset.q) % r:
             raise ValueError("pairing is not lift-independent for this pair")
     return _pairing(gl.colors, vl.colors, r)
 

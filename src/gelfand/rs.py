@@ -144,11 +144,9 @@ def shape_of(v) -> ShapeOrbit:
     scalars of order s the lifts sweep out a component shift orbit with
     stabilizer parameter s.
     """
-    if isinstance(v, ProjectiveElement):
-        p_tab, _ = rs(v.rep)
-        return ShapeOrbit(multitableau_shape(p_tab), v.q)
-    p_tab, _ = rs(v)
-    return ShapeOrbit(multitableau_shape(p_tab), 1)
+    q, lift = (v.q, v.rep) if isinstance(v, ProjectiveElement) else (1, v)
+    p_tab, _ = rs(lift)
+    return ShapeOrbit(multitableau_shape(p_tab), q)
 
 
 def projective_rs(v: ProjectiveElement) -> tuple[tuple[MultiTableau, MultiTableau], ...]:

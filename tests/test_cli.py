@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,6 +413,19 @@ PINNED_OUTPUT = [
         ["group", "info", "--json", "--r", "4", "--p", "2", "--q", "2", "--n", "4"],
         "8a06f736e8611cf6424fad189a59d55c321424a7b287c254096c13df84bc1211",
     ),
+    (
+        ["rs", "apply", "[3^0,4^1,6^1,2^0,5^2,1^2]", "--r", "3"],
+        "8cc4a08cefa94185f2726ce3eab79e88c41cc4f7c265031391f5e3ec910283e6",
+    ),
+    (
+        ["involutions", "list", "--json", "--r", "2", "--p", "2", "--q", "1", "--n", "4"],
+        "d275c63256f966eaeed92be3bdbbe065ca2dda905289c003bffb6df3130ce936",
+    ),
+    (
+        # one class type of a q = 2 quotient
+        ["model", "decompose", "--r", "2", "--p", "1", "--q", "2", "--n", "6", "--class", "sym[1,1;1,1]"],
+        "ac57b4ead394d211560f642f4aa4f41afa9766c5602ca5b9da2e7dcaa48d7104",
+    ),
 ]
 
 # the TSV renderings; kept apart from PINNED_OUTPUT, whose ids drop flags
@@ -441,6 +455,21 @@ def test_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the benchmark's goldens: each key is an argv joined by spaces
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDENS))
+def test_benchmark_goldens_replay(capsys, monkeypatch, key):
+    # the benchmark runs its children with no MODEL_MAX_ORDER
+    monkeypatch.delenv("MODEL_MAX_ORDER", raising=False)
+    code, out, _ = run(capsys, key.split())
+    assert code == GOLDENS[key]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[key]["sha256"]
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,8 @@ from gelfand.model import (
     predicted_labels,
     verify_class_decomposition,
 )
+from gelfand.rs import shape_of
+from gelfand.shapes import count_standard
 
 
 def test_pairing_hand_values():
@@ -100,6 +102,8 @@ def test_pairing_rejects_lift_dependent_pair():
     v = ProjectiveElement(parse_window("[2^1,1^1,3^0,4^0]", 2), 2)
     with pytest.raises(ValueError):
         pairing(odd, v)
+    with pytest.raises(ValueError):
+        pairing(v, odd)
 
 
 def test_pairing_of_a_coset_is_lift_independent():
@@ -994,6 +998,37 @@ def test_predicted_labels_shape():
         assert label.orbit.m == 2
         assert label.j == 1
         assert str(label).endswith("^1")
+
+
+# acting groups (r, p, q, n): plain, quotient and split-row groups
+RS_BLOCK_GROUPS = [
+    (3, 1, 1, 5),
+    (3, 1, 1, 6),
+    (2, 1, 1, 7),
+    (2, 2, 1, 4),
+    (2, 2, 1, 6),
+    (4, 2, 1, 4),
+    (6, 2, 1, 3),
+    (6, 2, 1, 4),
+    (6, 3, 1, 3),
+    (4, 1, 2, 4),
+    (2, 1, 2, 6),
+]
+
+
+@pytest.mark.parametrize("r,p,q,n", RS_BLOCK_GROUPS)
+def test_block_shapes_follow_projective_rs(r, p, q, n):
+    """The paper's statement on each block M(c): projective RS sends its
+    cosets onto the standard fillings of the predicted orbits, so the
+    shapes of the cosets are the predicted labels' orbits, each counted
+    once per filling."""
+    basis = ModelBasis(r, p, q, n, max_order=r**n * factorial(n))
+    for ctype, indices in basis.blocks.items():
+        shapes = Counter(shape_of(basis.elements[i]) for i in indices)
+        predicted = Counter()
+        for label in predicted_labels(ctype):
+            predicted[label.orbit] += count_standard(label.orbit)
+        assert shapes == predicted, ctype
 
 
 def test_verify_small_group():
