@@ -7,11 +7,13 @@ Conventions shared by every subcommand:
   - exact values render in cyclotomic monomial form
   - exit status 0 on success, 1 when a verification reports failure, 2
     on usage errors and resource-guard violations, 3 when an internal
-    consistency check fails
+    consistency check fails, 141 (128 + SIGPIPE) when the reader closes
+    stdout before the output is written
 
 For involutions and model subcommands, --r/--p/--q/--n describe the
 group whose absolute involutions span the module; that module is a
-representation of the dual group, obtained by exchanging p and q.
+representation of the dual group, obtained by exchanging p and q in
+_acting_group alone.
 
 Each subcommand imports the library modules it runs when it runs, so
 --help and usage errors load none of them.
@@ -37,6 +39,12 @@ SCHEMA = 1
 # holds its encoder chunks until it is joined, about 6 bytes per character,
 # so 16 KiB keeps that near 0.1 MB and 1 MB of JSON still takes 60 writes.
 BLOCK = 1 << 14
+# the --help description of the involutions and model subcommands
+_BASIS_GROUP_HELP = (
+    "--r --p --q --n name the basis group G(r,p,q,n), whose absolute "
+    "involutions span the model; the group acting on it is the dual "
+    "G(r,q,p,n), which exchanges p and q"
+)
 
 
 def _resolve_max_order(args) -> int:
@@ -59,18 +67,34 @@ def _write_blocks(chunks) -> None:
     """Write the chunks to stdout joined into blocks of at least BLOCK
     characters, the last excepted: one write per block, never the whole
     document at once.  Under PYTHONUNBUFFERED stdout writes through, so
-    each write is a system call."""
+    each write is a system call.
+
+    The final flush makes a closed reader raise BrokenPipeError here, for
+    main to report; the process's own stdout then goes to os.devnull, or
+    the interpreter's flush at exit would report it again.  A stream that
+    a caller put in place is left as it is."""
+    stdout = sys.stdout
     block = []
     size = 0
-    for chunk in chunks:
-        block.append(chunk)
-        size += len(chunk)
-        if size >= BLOCK:
-            sys.stdout.write("".join(block))
-            block.clear()
-            size = 0
-    if block:
-        sys.stdout.write("".join(block))
+    try:
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= BLOCK:
+                stdout.write("".join(block))
+                block.clear()
+                size = 0
+        if block:
+            stdout.write("".join(block))
+        stdout.flush()
+    except BrokenPipeError:
+        if stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, stdout.fileno())
+            finally:
+                os.close(devnull)
+        raise
 
 
 def _emit_rows(rows) -> None:
@@ -111,15 +135,20 @@ def _cmd_group_info(args) -> int:
     return 0
 
 
-def _involution_classes(args):
-    from .classes import enumerate_involution_classes
+def _acting_group(args) -> tuple[int, int, int, int]:
+    """Check --r --p --q --n as the basis group, so that an error names the
+    flag typed, and return the group acting on its involutions: the dual,
+    with p and q exchanged."""
     from .colored import check_group_parameters
 
     check_group_parameters(args.r, args.p, args.q, args.n)
-    # elements live in G(r,p,q,n); the enumerator takes the dual's view
-    return enumerate_involution_classes(
-        args.r, args.q, args.p, args.n, _resolve_max_order(args)
-    )
+    return args.r, args.q, args.p, args.n
+
+
+def _involution_classes(args):
+    from .classes import enumerate_involution_classes
+
+    return enumerate_involution_classes(*_acting_group(args), _resolve_max_order(args))
 
 
 def _cmd_involutions_list(args) -> int:
@@ -257,16 +286,12 @@ def _cmd_model_decompose(args) -> int:
     from .classes import InvolutionClassType
     from .model import verify_class_decomposition
 
+    r, p, q, n = _acting_group(args)
     only = None
     if args.cls is not None:
-        only = InvolutionClassType.parse(args.cls, args.r, args.q)
+        only = InvolutionClassType.parse(args.cls, r, p)
     report = verify_class_decomposition(
-        args.r,
-        args.q,
-        args.p,
-        args.n,
-        max_order=_resolve_max_order(args),
-        only=only,
+        r, p, q, n, max_order=_resolve_max_order(args), only=only
     )
     _emit_json(report.to_json())
     return 0 if report.passed else 1
@@ -274,15 +299,13 @@ def _cmd_model_decompose(args) -> int:
 
 def _cmd_model_gelfand_check(args) -> int:
     from .characters import label_degree
-    from .model import gelfand_check
+    from .model import _group_pair, gelfand_check
 
-    rows, passed = gelfand_check(
-        args.r, args.q, args.p, args.n, _resolve_max_order(args)
-    )
+    acting = _acting_group(args)
+    rows, passed = gelfand_check(*acting, _resolve_max_order(args))
     _emit_json(
         {
-            "acting_group": _group_dict(args.r, args.q, args.p, args.n),
-            "basis_group": _group_dict(args.r, args.p, args.q, args.n),
+            **_group_pair(*acting),
             "irreducibles": [
                 {
                     "label": str(label),
@@ -339,9 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="absolute involutions of G(r,p,q,n) and their class types",
     )
     inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-    inv_list = inv_sub.add_parser("list", help="one row per involution")
+    inv_list = inv_sub.add_parser(
+        "list", help="one row per involution", description=_BASIS_GROUP_HELP
+    )
     inv_types = inv_sub.add_parser(
-        "types", help="one row per class type, with predicted shapes"
+        "types",
+        help="one row per class type, with predicted shapes",
+        description=_BASIS_GROUP_HELP,
     )
     for cmd in (inv_list, inv_types):
         _add_group_flags(cmd)
@@ -384,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "decompose",
         help="per-class-type decomposition report, checked against the "
         "predicted constituents",
+        description=_BASIS_GROUP_HELP,
     )
     _add_group_flags(decompose_cmd)
     _add_guard_flag(decompose_cmd)
@@ -397,6 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_cmd = model_sub.add_parser(
         "gelfand-check",
         help="multiplicity of every irreducible in the full module",
+        description=_BASIS_GROUP_HELP,
     )
     _add_group_flags(check_cmd)
     _add_guard_flag(check_cmd)
@@ -422,6 +451,10 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print("inconsistency: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: end as a shell reports a writer that
+        # SIGPIPE stopped, 128 + 13, with nothing on stderr
+        return 141
 
 
 if __name__ == "__main__":

@@ -76,38 +76,23 @@ def pairing(g, v) -> int:
     for coset, other in ((v, gl), (g, vl)):
         if isinstance(coset, ProjectiveElement) and other.color_sum() * (r // coset.q) % r:
             raise ValueError("pairing is not lift-independent for this pair")
-    return _pairing(gl.colors, vl.colors, r)
+    return sum(a * b for a, b in zip(gl.colors, vl.colors)) % r
 
 
 def inv_statistic(g, v) -> int:
     """Number of inversions of |g| located on the 2-cycles of |v|."""
-    return _inversions(_lift(g).perm, _lift(v).perm)
-
-
-def a_statistic(g, v) -> int:
-    """Color transferred past position 1: z_1(v) - z_{|g|^{-1}(1)}(v) mod r."""
-    gl, vl = _lift(g), _lift(v)
-    return _transfer(vl.colors, gl.perm.index(1), vl.r)
-
-
-# The statistics on raw windows: colors are tuples of exponents, perms
-# 1-based tuples, source the 0-based position |g|^{-1}(1).
-
-
-def _pairing(g_colors, v_colors, r: int) -> int:
-    return sum(a * b for a, b in zip(g_colors, v_colors)) % r
-
-
-def _inversions(g_perm, v_perm) -> int:
+    g_perm = _lift(g).perm
     return sum(
         1
-        for i, j in enumerate(v_perm, 1)
+        for i, j in enumerate(_lift(v).perm, 1)
         if i < j and g_perm[i - 1] > g_perm[j - 1]
     )
 
 
-def _transfer(v_colors, source: int, r: int) -> int:
-    return (v_colors[0] - v_colors[source]) % r
+def a_statistic(g, v) -> int:
+    """Color transferred past position 1: z_1(v) - z_{|g|^{-1}(1)}(v) mod r."""
+    vl = _lift(v)
+    return (vl.colors[0] - vl.colors[_lift(g).perm.index(1)]) % vl.r
 
 
 class ModelBasis(Immutable):
@@ -642,6 +627,15 @@ class ClassVerification(Immutable):
         }
 
 
+def _group_pair(r: int, p: int, q: int, n: int) -> dict:
+    """The acting_group and basis_group fields of a model report, from
+    the acting group G(r,p,q,n): the basis group is its dual G(r,q,p,n)."""
+    return {
+        "acting_group": {"r": r, "p": p, "q": q, "n": n},
+        "basis_group": {"r": r, "p": q, "q": p, "n": n},
+    }
+
+
 class VerificationReport(Immutable):
     __slots__ = ("r", "p", "q", "n", "entries")
 
@@ -658,8 +652,7 @@ class VerificationReport(Immutable):
 
     def to_json(self) -> dict:
         return {
-            "acting_group": {"r": self.r, "p": self.p, "q": self.q, "n": self.n},
-            "basis_group": {"r": self.r, "p": self.q, "q": self.p, "n": self.n},
+            **_group_pair(self.r, self.p, self.q, self.n),
             "classes": [entry.to_json() for entry in self.entries],
             "pass": self.passed,
         }

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -344,6 +346,33 @@ def test_invalid_parameters_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["model", "decompose", "--r", "4", "--p", "3", "--q", "1", "--n", "4"],
+            "p must divide r (got r=4, p=3)",
+        ),
+        (
+            ["model", "gelfand-check", "--r", "4", "--p", "1", "--q", "3", "--n", "4"],
+            "q must divide r (got r=4, q=3)",
+        ),
+        (
+            ["involutions", "list", "--r", "4", "--p", "3", "--q", "1", "--n", "4"],
+            "p must divide r (got r=4, p=3)",
+        ),
+    ],
+    ids=["model-decompose", "model-gelfand-check", "involutions-list"],
+)
+def test_errors_name_the_flag_typed(capsys, argv, message):
+    # the flags name the basis group, which is checked before the swap to
+    # the acting group, so the message names the flag that is wrong
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_failed_internal_check_exits_3(capsys, monkeypatch):
     import gelfand.classes
 
@@ -500,15 +529,19 @@ HELP_OUTPUT = [
     ([], "a449c010b286b71ffc2b5280cb943cf8597f217e46120a883ed247065b20417b"),
     (
         ["model", "decompose"],
-        "37f6cb87c1e38104b9ea5996f7adf7c000004b4fc8e7e46106d85395a2bdb3d3",
+        "67e32471530f652429590f6477ab34f0e3c2901830705f21342d67847df4530e",
     ),
     (
         ["model", "gelfand-check"],
-        "daac8cbf3d8d88f750df25e245bf70bddb68101d0354bfc50779adb04024ab40",
+        "3695b295436f0dd0a91c2a99ece8fd4ed4408b39da788fca3a64f4945db42002",
     ),
     (
         ["involutions", "list"],
-        "4f226c91a393587aac17e72855145cc484aeed9a97b8b6f28bdeef0d98be77d8",
+        "3ee1c6949824873b7f6dd9d989a21f8eed425c92a8e8877f43651bcbf9e10cda",
+    ),
+    (
+        ["involutions", "types"],
+        "49da017efdcc6bfaf6f2756e57aa096d14b5ff5ae92d5a151e2ef1fd4170f1f4",
     ),
     (["chartable"], "87d8e813c8dc349ecf7045e372300d327e91e96a96ddf0c04cccd23bf7db629c"),
     (["rs", "apply"], "26c87f4fc4ac455395f3881cdbc7a0259c32845a6453adcb2108d3a649447126"),
@@ -574,3 +607,87 @@ def test_stdout_is_written_in_bounded_blocks(monkeypatch, argv, digest):
     block = gelfand.cli.BLOCK
     assert len(stream.writes) <= math.ceil(len(data) / block) + 2
     assert max(len(text.encode()) for text in stream.writes) <= 2 * block
+
+
+SRC = Path(gelfand.cli.__file__).resolve().parent.parent
+
+
+def spawn_cli(argv, stdout, unbuffered: bool) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MODEL_MAX_ORDER", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "gelfand.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+# one small invocation of every subcommand that writes stdout
+WRITING_COMMANDS = [
+    ["group", "info", "--r", "2", "--p", "1", "--q", "1", "--n", "3"],
+    ["involutions", "list", "--r", "2", "--p", "1", "--q", "1", "--n", "3"],
+    ["involutions", "types", "--r", "2", "--p", "1", "--q", "1", "--n", "3"],
+    ["rs", "apply", "[2^0,1^1]", "--r", "2"],
+    ["classes", "list", "--r", "2", "--p", "1", "--n", "3"],
+    ["chartable", "--json", "--r", "4", "--p", "1", "--q", "1", "--n", "5"],
+    ["model", "decompose", "--r", "2", "--p", "1", "--q", "2", "--n", "4"],
+    ["model", "gelfand-check", "--r", "2", "--p", "1", "--q", "1", "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    WRITING_COMMANDS,
+    ids=["-".join(word for word in argv[:2] if word[0] != "-") for argv in WRITING_COMMANDS],
+)
+def test_closed_stdout_exits_141(argv, unbuffered):
+    # the reader is gone before the child writes: the child ends as a shell
+    # reports a writer stopped by SIGPIPE, with nothing on stderr, whether
+    # its stdout buffers or writes through
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = spawn_cli(argv, write, unbuffered)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_reader_closing_mid_document_exits_141():
+    # head -c 100: the reader takes the start of a 1 MB document and closes
+    argv = ["chartable", "--json", "--r", "4", "--p", "1", "--q", "1", "--n", "5"]
+    proc = spawn_cli(argv, subprocess.PIPE, unbuffered=True)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert head.startswith(b'{\n  "schema": 1,\n  "group": {')
+
+
+class ClosedPipe(io.TextIOBase):
+    """A caller's stream whose reader has gone."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stream_of_an_in_process_caller(capsys, monkeypatch):
+    # main reports the closed stream by its status and leaves the caller's
+    # stream in place and open
+    stream = ClosedPipe()
+    monkeypatch.setattr("sys.stdout", stream)
+    assert main(["group", "info", "--r", "2", "--p", "1", "--q", "1", "--n", "3"]) == 141
+    assert sys.stdout is stream and not stream.closed
+    assert capsys.readouterr().err == ""

@@ -5,7 +5,8 @@ function or class goes unreferenced, every name the package exports
 resolves and README.md names it, exact values keep one representation
 behind one module, value types keep one identity (==, hash, <) and one
 component shift, and the command line writes stdout only through its
-two emit helpers."""
+two emit helpers and exchanges the basis flags --p and --q in one
+helper."""
 
 import ast
 from collections import Counter
@@ -197,3 +198,49 @@ def test_cli_writes_stdout_only_through_the_emit_helpers():
         and not any(keyword.arg == "file" for keyword in node.keywords)
     ]
     assert not bare_prints, "print without file= at lines %s" % bare_prints
+
+
+def flag_reads(items):
+    """The flags of args.p and args.q among some nodes, in order."""
+    return [
+        item.attr
+        for item in items
+        if isinstance(item, ast.Attribute)
+        and isinstance(item.value, ast.Name)
+        and item.value.id == "args"
+        and item.attr in ("p", "q")
+    ]
+
+
+def test_cli_exchanges_p_and_q_in_one_helper():
+    """The basis flags name G(r,p,q,n) and the acting group is its dual:
+    only _acting_group puts args.q ahead of args.p, in a call, a tuple or
+    a list, and the handlers that take the acting group from it read
+    args.p and args.q nowhere else."""
+    path = Path(gelfand.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    swapping = set()
+    for function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                order = flag_reads(node.args)
+            elif isinstance(node, (ast.Tuple, ast.List)):
+                order = flag_reads(node.elts)
+            else:
+                continue
+            if "p" in order and "q" in order and order.index("q") < order.index("p"):
+                swapping.add(function.name)
+    assert swapping == {"_acting_group"}
+    stray = sorted(
+        (function.name, node.lineno)
+        for function in functions
+        if function.name != "_acting_group"
+        and any(
+            isinstance(node, ast.Name) and node.id == "_acting_group"
+            for node in ast.walk(function)
+        )
+        for node in ast.walk(function)
+        if flag_reads([node])
+    )
+    assert not stray, "args.p or args.q read beside _acting_group: %s" % stray

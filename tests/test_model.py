@@ -60,10 +60,7 @@ from gelfand.model import (
     _block_sizes,
     _class_window,
     _commuting_involutions,
-    _inversions,
     _orbit,
-    _pairing,
-    _transfer,
     _type_histograms,
     a_statistic,
     gelfand_check,
@@ -163,6 +160,20 @@ def test_a_statistic_values_on_a_sets():
             for ws in a_sets(g, eps).values():
                 for w in ws:
                     assert a_statistic(g, w) in (0, 1)
+
+
+def test_statistics_match_their_raw_window_forms():
+    # the public statistics read lifts; on every pair of an acting element
+    # and a basis coset they agree with the raw-window forms of the
+    # reference loops, read off the coset's stored lift
+    basis = ModelBasis(4, 2, 1, 3)
+    for g in subgroup_elements(4, 2, 3):
+        source = g.perm.index(1)
+        for v in basis.elements:
+            rep = v.rep
+            assert pairing(g, v) == _pairing(g.colors, rep.colors, 4)
+            assert inv_statistic(g, v) == _inversions(g.perm, rep.perm)
+            assert a_statistic(g, v) == _transfer(rep.colors, source, 4)
 
 
 def test_model_basis_dimension_and_blocks():
@@ -288,6 +299,27 @@ def _flags_id(flags):
 
 def _basis_from_flags(r, p, q, n):
     return ModelBasis(r, q, p, n)
+
+
+# The statistics on raw windows, as the reference loops below read them:
+# colors are tuples of exponents, perms 1-based tuples, source the 0-based
+# position |g|^{-1}(1).
+
+
+def _pairing(g_colors, v_colors, r: int) -> int:
+    return sum(a * b for a, b in zip(g_colors, v_colors)) % r
+
+
+def _inversions(g_perm, v_perm) -> int:
+    return sum(
+        1
+        for i, j in enumerate(v_perm, 1)
+        if i < j and g_perm[i - 1] > g_perm[j - 1]
+    )
+
+
+def _transfer(v_colors, source: int, r: int) -> int:
+    return (v_colors[0] - v_colors[source]) % r
 
 
 def _reference_window(label):
@@ -1063,6 +1095,25 @@ def test_gelfand_check_small():
     assert passed
     assert all(mult == 1 for _, mult in rows)
     assert len(rows) == len(character_table(3, 1, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "r, p, q, n",
+    [(2, 1, 1, 6), (3, 1, 1, 4), (2, 2, 1, 6), (4, 2, 1, 4), (4, 1, 2, 4), (6, 2, 1, 3)],
+)
+def test_model_drivers_agree(r, p, q, n):
+    # the model is the direct sum of its blocks: gelfand_check's
+    # multiplicities are, label by label, the sums of the multiplicities
+    # verify_class_decomposition finds in the blocks (acting groups with
+    # split rows, 2 2 1 6 and 4 2 1 4, and a quotient, 4 1 2 4)
+    rows, passed = gelfand_check(r, p, q, n)
+    report = verify_class_decomposition(r, p, q, n)
+    assert passed and report.passed
+    summed = Counter()
+    for entry in report.entries:
+        for label, mult in entry.computed:
+            summed[label] += mult
+    assert summed == Counter(dict(rows))
 
 
 def _reference_pi21_partitions(g: ColoredPermutation):
