@@ -9,23 +9,26 @@ numbers by one cached helper shared with the symmetric-group case
 zeta_r.
 
 The character table walks only a few of its histograms and reads the
-rest off two symmetries of the wreath characters.  Shifting the
+rest off symmetries of the wreath characters.  On the rows, shifting the
 components of lam up by t multiplies chi^lam(alpha) by zeta_r^(t*c),
-c the total color of alpha, which rotates the histogram by t*c; and
-multiplying every cycle color by a unit u of Z/r applies zeta -> zeta^u,
-which moves exponent e to u*e mod r.  So one row per rotation class of
-the table's shapes is walked, at one class shape per Galois orbit of
-them.  The columns are built one Galois orbit at a time, and the walk's
-memo over remaining shapes lives for one walk only, so no cache outlives
-one orbit of columns.  For split
-representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2) the
-two constituents are built as integer 2*chi, the restricted character
-plus or minus the closed-form difference character, and halved once.
-The table is assembled column by column: each class gets one list of
-value objects, one per row, which the classes of one shape share when no
-row splits; each distinct histogram becomes a value once, reduced in
-ints; and a single zip(*columns) turns the columns into the rows.  So the
-table holds one value object per distinct value.
+c the total color of alpha, which rotates the histogram by t*c.  On the
+columns, the affine color maps send each cycle (k, c) of alpha to
+(k, u*c + k*t), u a unit of Z/r and t in Z/r: multiplying every color by
+u applies zeta -> zeta^u, which moves exponent e to u*e mod r, and
+multiplying by the central scalar zeta^t multiplies chi^lam by
+zeta^(t*c(lam)), c(lam) = sum of i*|lam^i| (Schur's lemma).  So one row
+per rotation class of the table's shapes is walked, at one class shape
+per orbit of the affine maps among the class shapes.  The columns are
+built one orbit at a time, and the walk's memo over remaining shapes
+lives for one walk only, so no cache outlives one orbit of columns.  For
+split representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2)
+the two constituents are built as integer 2*chi, the restricted
+character plus or minus the closed-form difference character, and
+halved once; off the split classes the difference is zero.  The table is
+assembled column by column: each class gets one list of value objects,
+one per row; each distinct histogram becomes a value once, reduced in
+ints; and a single zip(*columns) turns the columns into the rows.  So
+the table holds one value object per distinct value.
 
 A class function holds its values as a tuple in enumerate_classes order,
 one per class.  The table, the model's block characters and the checks
@@ -45,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .classes import (
     ConjugacyClass,
@@ -63,6 +66,7 @@ from .shapes import (
     ShapeOrbit,
     count_standard,
     enumerate_orbits,
+    shape_color,
     shape_key,
     shape_shift,
     shape_size,
@@ -128,6 +132,8 @@ def _wreath_histograms(lams, cycles) -> list[tuple[int, ...]]:
             acc = [0] * r
             k, color = cycles[j]
             for i, part in enumerate(shape):
+                if not part:
+                    continue
                 shift = i * color
                 for smaller, leg in _strips(part, k):
                     rest = walk(shape[:i] + (smaller,) + shape[i + 1 :], j + 1)
@@ -273,15 +279,21 @@ class IrreducibleLabel(Value):
 
 def _table_columns(lams, alphas):
     """(alpha, [histogram of chi^lam at alpha for lam in lams]) for every
-    class shape alpha of alphas, one Galois orbit at a time.
+    class shape alpha of alphas, one orbit under the affine color maps at
+    a time.
 
     One lam per rotation class among lams is walked, and every other row
     rotates its representative's histogram: if lam is the representative
     shifted up by t, its histogram is the representative's times
     zeta^(t*c), c the total color of alpha.  The representative's
-    histograms are walked at the first class shape of each orbit under
-    color scaling by the units u of Z/r; at the image u.alpha (component
-    u*i of it is component i of alpha) exponent e moves to u*e.
+    histograms are walked at the first class shape of each orbit under the
+    maps that send a cycle (k, c) to (k, u*c + k*t), u a unit of Z/r and t
+    in Z/r: the color scaling by u, then the product with the central
+    scalar zeta^t.  At the image exponent e moves to u*e, and the row of
+    lam rotates by t*c(lam), c(lam) = sum of i*|lam^i|, as zeta^t acts on
+    that representation by zeta^(t*c(lam)).  Central images of a class
+    shape of G(r,p,n) lie in G(r,p,n) only when p divides t*n, so only
+    the images among alphas are taken; color scalings always are.
     """
     r = len(lams[0])
     reps = []
@@ -299,32 +311,44 @@ def _table_columns(lams, alphas):
             reps.append(lam)
         positions.append(pos)
         shifts.append(t)
-    inverses = [pow(u, -1, r) for u in range(1, r + 1) if gcd(u, r) == 1]
-    # move[v, s] maps a walked histogram to the one at the image under v,
-    # rotated by s: entry e of it is entry v*(e - s) of the walked one
-    move = {}
-    for v in inverses:
-        for s in range(r):
-            entries = [v * (e - s) % r for e in range(r)]
-            move[v, s] = tuple if entries == list(range(r)) else itemgetter(*entries)
-    row_moves: dict = {}  # (v, total color c) -> per lam, move[v, t*c]
+    # the rotation of lam's row under zeta^t is t times c(lam)
+    central = [shape_color(lam) for lam in lams]
+    units = [(u, pow(u, -1, r)) for u in range(1, r + 1) if gcd(u, r) == 1]
+    # move (v, s) maps a walked histogram to the one at the image under the
+    # unit 1/v, rotated by s: entry e of it is entry v*(e - s) of the walked one
+    moves = [(v, s) for _, v in units for s in range(r)]
+    slot = {key: i for i, key in enumerate(moves)}
+    getters = []
+    for v, s in moves:
+        entries = [v * (e - s) % r for e in range(r)]
+        getters.append(tuple if entries == list(range(r)) else itemgetter(*entries))
+    # (u, t, total color c of alpha) -> per lam, the place in moved below of
+    # its representative's histogram under move (1/u, u*s*c + t*c(lam))
+    places: dict = {}
     done = set()
     for alpha in alphas:
         if alpha in done:
             continue
-        walked = _wreath_histograms(reps, _cycles(alpha))
-        for v in inverses:  # v = 1/u: image component j is alpha's v*j
-            image = tuple(alpha[v * j % r] for j in range(r))
-            if image in done:
-                continue
-            done.add(image)
-            color = label_color(image) % r
-            moves = row_moves.get((v, color))
-            if moves is None:
-                moves = row_moves[v, color] = [move[v, t * color % r] for t in shifts]
-            yield image, [
-                f(h) for f, h in zip(moves, map(walked.__getitem__, positions))
-            ]
+        cycles = _cycles(alpha)
+        color = label_color(alpha) % r
+        # every move of every walked histogram, representative by representative
+        moved = [f(h) for h in _wreath_histograms(reps, cycles) for f in getters]
+        for u, v in units:
+            for t in range(r):
+                components = [[] for _ in range(r)]
+                for k, c in cycles:  # longest first, so each stays sorted
+                    components[(u * c + k * t) % r].append(k)
+                image = tuple(map(tuple, components))
+                if image in done or image not in alphas:
+                    continue
+                done.add(image)
+                picks = places.get((u, t, color))
+                if picks is None:
+                    picks = places[u, t, color] = [
+                        pos * len(moves) + slot[v, (u * s * color + t * z) % r]
+                        for pos, s, z in zip(positions, shifts, central)
+                    ]
+                yield image, list(map(moved.__getitem__, picks))
 
 
 def character_table(r: int, p: int, q: int, n: int):
@@ -356,35 +380,34 @@ def character_table(r: int, p: int, q: int, n: int):
     # short-lived memory would otherwise sit between the columns and raise
     # the peak RSS (by about 1 MB on 4 1 1 6)
     cells = [[None] * len(labels) for _ in classes]
-    zero = (0,) * r
+    # the orbit of every row, and the first of each split orbit's two rows
+    row_orbits = [i for i, orbit in enumerate(orbits) for _ in range(orbit.m)]
+    split_rows = [row_orbits.index(i) for i in split]
     for alpha, histograms in _table_columns(lams, columns):
-        unsplit = list(map(whole.__getitem__, histograms))
-        if not split:
-            for k, _ in columns[alpha]:
-                cells[k][:] = unsplit
+        values = list(map(whole.__getitem__, histograms))
+        if split:
+            # off the split classes each split row is half the restriction
+            for i in split:
+                values[i] = doubled[histograms[i]]
+            values = list(map(values.__getitem__, row_orbits))
+        halves = columns[alpha]
+        if not split or halves[0][1] is None:
+            for k, _ in halves:
+                cells[k][:] = values
             continue
-        # the difference character times 2, exponents doubled from r/2 to r
-        deltas = [zero] * len(orbits)
-        if columns[alpha][0][1] is not None:
-            halved, scale = _halved_class(alpha)
-            for i, small in zip(split, _wreath_histograms(mus, _cycles(halved))):
+        # on a split class the split rows are 2 chi = restricted +- delta,
+        # delta the difference character times 2, exponents doubled from
+        # r/2 to r
+        halved, scale = _halved_class(alpha)
+        smalls = _wreath_histograms(mus, _cycles(halved))
+        for k, half in halves:
+            scale_k = -scale if half else scale
+            column = values[:]
+            for i, j, small in zip(split, split_rows, smalls):
                 delta = [0] * r
-                delta[::2] = [scale * x for x in small]
-                deltas[i] = delta
-        for k, half in columns[alpha]:
-            sign = -1 if half else 1
-            column = []
-            for orbit, value, histogram, delta in zip(
-                orbits, unsplit, histograms, deltas
-            ):
-                if orbit.m == 1:
-                    column.append(value)
-                    continue
-                # the split rows are 2 chi = restricted +- delta
-                for s in (sign, -sign):
-                    column.append(
-                        doubled[tuple(a + s * b for a, b in zip(histogram, delta))]
-                    )
+                delta[::2] = [scale_k * x for x in small]
+                column[j] = doubled[tuple(map(add, histograms[i], delta))]
+                column[j + 1] = doubled[tuple(map(sub, histograms[i], delta))]
             cells[k][:] = column
     rows = [
         (label, ClassFunction(r, p, n, row))

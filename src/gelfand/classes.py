@@ -153,6 +153,8 @@ def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
     """All classes of G(r,p,n), deterministically ordered; the identity
     class, every cycle of length 1 and color 0, comes last."""
     check_supported_group(r, p, 1, n)
+    # enumerate_shapes lists the shapes in shape_key order and the halves of
+    # a split class follow each other, so out is in ConjugacyClass order
     out = []
     for alpha in enumerate_shapes(r, n):
         if label_color(alpha) % p != 0:
@@ -162,7 +164,6 @@ def enumerate_classes(r: int, p: int, n: int) -> tuple[ConjugacyClass, ...]:
             out.append(ConjugacyClass(r, p, alpha, 1))
         else:
             out.append(ConjugacyClass(r, p, alpha))
-    out.sort(key=ConjugacyClass.sort_key)
     return tuple(out)
 
 

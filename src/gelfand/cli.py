@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .errors import (
     ENUMERATION_GUARD,
@@ -36,8 +37,9 @@ from .errors import (
 
 SCHEMA = 1
 # Least characters per stdout write, the last write excepted.  A block
-# holds its encoder chunks until it is joined, about 6 bytes per character,
-# so 16 KiB keeps that near 0.1 MB and 1 MB of JSON still takes 60 writes.
+# holds its chunks until it is joined, and a chunk is at most one list of
+# strings, so 16 KiB keeps a block small and 1 MB of JSON still takes 60
+# writes.
 BLOCK = 1 << 14
 # the --help description of the involutions and model subcommands
 _BASIS_GROUP_HELP = (
@@ -101,13 +103,55 @@ def _emit_rows(rows) -> None:
     _write_blocks("\t".join(str(cell) for cell in row) + "\n" for row in rows)
 
 
+def _json_chunks(value, indent: str = "\n"):
+    """The text of json.dumps(value, indent=2), in chunks, for nested dicts
+    with str keys, lists and tuples of str, int, bool and None.
+
+    A list whose items are all strings is one chunk, joined at once;
+    strings and ints render through json's own functions.  (json's encoder
+    walks in Python too once indent is set, one chunk per item.)"""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {str}:
+            separator = "," + inner
+            yield "[" + inner + separator.join(map(encode_basestring_ascii, value))
+        else:
+            separator = "["
+            for item in value:
+                yield separator + inner
+                yield from _json_chunks(item, inner)
+                separator = ","
+        yield indent + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        separator = "{"
+        for key, item in value.items():
+            yield separator + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner)
+            separator = ","
+        yield indent + "}"
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None:
+        yield "null"
+    elif isinstance(value, bool):
+        yield "true" if value else "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    else:
+        raise TypeError("cannot write %s as JSON" % type(value).__name__)
+
+
 def _emit_json(payload) -> None:
-    # the schema field leads every document; with indent set, json.dumps
-    # joins these same chunks
+    # the schema field leads every document
     document = {"schema": SCHEMA, **payload}
-    _write_blocks(
-        itertools.chain(json.JSONEncoder(indent=2).iterencode(document), ("\n",))
-    )
+    _write_blocks(itertools.chain(_json_chunks(document), ("\n",)))
 
 
 def _group_dict(r, p, q, n) -> dict:
@@ -138,10 +182,16 @@ def _cmd_group_info(args) -> int:
 def _acting_group(args) -> tuple[int, int, int, int]:
     """Check --r --p --q --n as the basis group, so that an error names the
     flag typed, and return the group acting on its involutions: the dual,
-    with p and q exchanged."""
+    with p and q exchanged.  The model commands also refuse an acting group
+    with GCD(p,n) > 2 here, where its p is the basis group's q."""
     from .colored import check_group_parameters
 
     check_group_parameters(args.r, args.p, args.q, args.n)
+    if args.command == "model" and gcd(args.q, args.n) not in (1, 2):
+        raise UnsupportedGroupError(
+            "only groups with GCD(q,n) in {1,2} are supported, got %d"
+            % gcd(args.q, args.n)
+        )
     return args.r, args.q, args.p, args.n
 
 
@@ -246,12 +296,20 @@ def _cmd_chartable(args) -> int:
     table = character_table(args.r, args.p, args.q, args.n)
     labels = enumerate_classes(args.r, args.p, args.n)
     sizes = class_sizes(args.r, args.p, args.n)
-    # the table shares one value object per distinct value: render each once
-    text: dict = {}  # id(value) -> value; the table keeps the values alive
+    # the table shares one value object per distinct value: render each
+    # once, in one pass over the cells that looks them up by id; a row goes
+    # over its cells again only when it meets a value for the first time
+    text: dict = {}  # id(value) -> str(value); the table keeps the values alive
+    rendered = []
     for _, row in table:
-        text.update(zip(map(id, row.values), row.values))
-    text = {key: str(value) for key, value in text.items()}  # id(value) -> str
-    rendered = [list(map(text.__getitem__, map(id, row.values))) for _, row in table]
+        strings = list(map(text.get, map(id, row.values)))
+        if None in strings:
+            for j, value in enumerate(row.values):
+                if strings[j] is None:
+                    if id(value) not in text:
+                        text[id(value)] = str(value)
+                    strings[j] = text[id(value)]
+        rendered.append(strings)
     if args.json:
         _emit_json(
             {
@@ -439,6 +497,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # argparse has written help or usage; a reader that closed stdout
+        # shows when what it wrote there is flushed
+        try:
+            _emit_rows(())
+        except BrokenPipeError:
+            return 141
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)

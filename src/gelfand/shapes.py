@@ -11,7 +11,9 @@ with its stabilizer order m_p.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import factorial
+from operator import neg
 
 from .errors import InconsistencyError, ResourceLimitError
 from .immutable import Value
@@ -60,9 +62,8 @@ def shape_color(shape: Shape) -> int:
 def shape_key(shape: Shape):
     """Deterministic sort key: component sizes first, then parts with larger
     parts sorting earlier (so ((2,1),(1,1,1)) precedes ((1,1,1),(2,1)))."""
-    sizes = tuple(sum(comp) for comp in shape)
-    negated = tuple(tuple(-part for part in comp) for comp in shape)
-    return (sizes, negated)
+    negated = tuple(tuple(map(neg, comp)) for comp in shape)
+    return (tuple(map(sum, shape)), negated)
 
 
 def shape_str(shape: Shape) -> str:
@@ -81,23 +82,26 @@ def shape_shift(shape: Shape, s: int) -> Shape:
 
 
 def enumerate_shapes(r: int, n: int, q: int = 1) -> list[Shape]:
-    """All r-tuples of partitions with n boxes and color divisible by q."""
+    """All r-tuples of partitions with n boxes and color divisible by q, in
+    shape_key order: component sizes in lexicographic order, and for each
+    the product of their partitions, larger parts first."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
 
-    def rec(i, remaining):
+    def compositions(i, remaining):
         if i == r - 1:
-            for lam in partitions(remaining):
-                yield (lam,)
+            yield (remaining,)
             return
         for k in range(remaining + 1):
-            for lam in partitions(k):
-                for rest in rec(i + 1, remaining - k):
-                    yield (lam,) + rest
+            for rest in compositions(i + 1, remaining - k):
+                yield (k,) + rest
 
-    out = [s for s in rec(0, n) if shape_color(s) % q == 0]
-    out.sort(key=shape_key)
-    return out
+    return [
+        shape
+        for sizes in compositions(0, n)
+        if sum(i * k for i, k in enumerate(sizes)) % q == 0
+        for shape in product(*map(partitions, sizes))
+    ]
 
 
 class ShapeOrbit(Value):
@@ -143,15 +147,17 @@ class ShapeOrbit(Value):
 
 
 def enumerate_orbits(r: int, n: int, p: int, q: int = 1) -> list[ShapeOrbit]:
-    """All shift orbits on the shapes of Fer(r,n) with color divisible by q."""
+    """All shift orbits on the shapes of Fer(r,n) with color divisible by q,
+    in ShapeOrbit order: one orbit per shape not already in an orbit, and
+    one sort key per orbit."""
     seen = set()
     out = []
     for shape in enumerate_shapes(r, n, q):
-        orb = ShapeOrbit(shape, p)
-        if orb not in seen:
-            seen.add(orb)
+        if shape not in seen:
+            orb = ShapeOrbit(shape, p)
+            seen.update(orb.members)
             out.append(orb)
-    out.sort()
+    out.sort(key=ShapeOrbit.sort_key)
     return out
 
 

@@ -1,5 +1,5 @@
 """Character machinery: border-strip recursion against known symmetric
-group values, wreath characters and the two symmetries the table reads
+group values, wreath characters and the three symmetries the table reads
 them off by, the difference character on split classes, table
 orthogonality, inner products, and exact decomposition."""
 
@@ -48,6 +48,7 @@ from gelfand.shapes import (
     enumerate_orbits,
     enumerate_shapes,
     partitions,
+    shape_color,
     shape_shift,
 )
 
@@ -277,6 +278,32 @@ def test_rotation_and_galois_identities(r):
                     assert _raw_histogram(lam, image) == tuple(scaled), (lam, alpha, u)
 
 
+def _central(alpha: Shape, t: int) -> Shape:
+    """The class shape of zeta^t * g for g of class shape alpha: each cycle
+    (k, c) becomes (k, c + k*t)."""
+    r = len(alpha)
+    components = [[] for _ in range(r)]
+    for color, comp in enumerate(alpha):
+        for k in comp:
+            components[(color + k * t) % r].append(k)
+    return tuple(tuple(sorted(comp, reverse=True)) for comp in components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.integers(1, 6), n=st.integers(1, 5), data=st.data())
+def test_central_scalar_multiplies_by_the_central_character(r, n, data):
+    """The third symmetry character_table reads histograms off: the central
+    scalar zeta^t acts on the representation lam as zeta^(t*c(lam)),
+    c(lam) = sum of i*|lam^i|, so chi^lam(zeta^t g) = zeta^(t*c(lam))
+    chi^lam(g)."""
+    shapes = enumerate_shapes(r, n)
+    lam = data.draw(st.sampled_from(shapes), label="lam")
+    alpha = data.draw(st.sampled_from(shapes), label="alpha")
+    t = data.draw(st.integers(0, r - 1), label="t")
+    expected = Cyclotomic.root(r, t * shape_color(lam)) * wreath_character(lam, alpha)
+    assert wreath_character(lam, _central(alpha, t)) == expected
+
+
 # The per-cell table builder that character_table replaced, kept verbatim
 # as the reference.
 def _reference_character_table(r, p, q, n):
@@ -370,10 +397,11 @@ def _walked_per_column(r, p, q, n) -> int:
 def test_table_walks_one_row_per_rotation_class_and_column_per_galois_orbit(
     monkeypatch,
 ):
-    # 252 rows in 63 rotation classes, 252 class shapes in 151 Galois orbits
-    assert _walked(monkeypatch, (4, 1, 1, 5)) == [63] * 151
+    # 252 rows in 63 rotation classes, 252 class shapes in 44 orbits under
+    # the affine color maps (151 under color scaling alone)
+    assert _walked(monkeypatch, (4, 1, 1, 5)) == [63] * 44
     assert _walked_per_column(4, 1, 1, 5) == 63_504
-    assert sum(_walked(monkeypatch, (5, 1, 1, 5))) == 13_770
+    assert sum(_walked(monkeypatch, (5, 1, 1, 5))) == 3_570
     assert _walked_per_column(5, 1, 1, 5) == 256_036
     # no shift of components or unit color scaling to use
     for group in [(1, 1, 1, 6), (2, 2, 1, 6)]:

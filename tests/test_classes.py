@@ -62,6 +62,14 @@ def test_class_sizes_sum_to_group_order():
     assert len(enumerate_classes(1, 1, 3)) == 3
 
 
+def test_classes_come_in_sort_order():
+    # enumerate_classes lists them as enumerate_shapes lists their shapes,
+    # the halves of a split class next to each other, with no sort
+    for r, p, n in [(2, 2, 4), (4, 1, 4), (4, 2, 4), (6, 2, 4), (6, 3, 2), (3, 1, 5)]:
+        labels = list(enumerate_classes(r, p, n))
+        assert labels == sorted(labels)
+
+
 def test_class_sizes_match_brute_force_orbits():
     elements = list(all_elements(2, 3))
     for label in enumerate_classes(2, 1, 3):

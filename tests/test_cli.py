@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gelfand.characters
 import gelfand.cli
@@ -373,6 +375,16 @@ def test_errors_name_the_flag_typed(capsys, argv, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("command", ["decompose", "gelfand-check"])
+def test_unsupported_model_names_the_flag_typed(capsys, command):
+    # the acting group's GCD(p,n) is the basis group's GCD(q,n)
+    argv = ["model", command, "--r", "3", "--p", "1", "--q", "3", "--n", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: only groups with GCD(q,n) in {1,2} are supported, got 3\n"
+
+
 def test_failed_internal_check_exits_3(capsys, monkeypatch):
     import gelfand.classes
 
@@ -661,6 +673,25 @@ def test_closed_stdout_exits_141(argv, unbuffered):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["model", "decompose", "--help"]],
+    ids=["gelfand", "model-decompose"],
+)
+def test_help_into_closed_stdout_exits_141(argv):
+    # argparse writes help into the buffer of stdout; the reader is gone
+    # when main flushes it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = spawn_cli(argv, write, unbuffered=False)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_reader_closing_mid_document_exits_141():
     # head -c 100: the reader takes the start of a 1 MB document and closes
     argv = ["chartable", "--json", "--r", "4", "--p", "1", "--q", "1", "--n", "5"]
@@ -691,3 +722,31 @@ def test_closed_stream_of_an_in_process_caller(capsys, monkeypatch):
     assert main(["group", "info", "--r", "2", "--p", "1", "--q", "1", "--n", "3"]) == 141
     assert sys.stdout is stream and not stream.closed
     assert capsys.readouterr().err == ""
+
+
+# strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII characters and a lone surrogate, besides any other text
+JSON_TEXT = st.text(
+    st.sampled_from('a"\\/\x00\x1f\n\t\x7f\u00e9\u2028\u4e2d\U0001f600\ud800')
+) | st.text()
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | JSON_TEXT
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(JSON_TEXT)
+    | st.dictionaries(JSON_TEXT, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCUMENTS)
+@example({})
+@example([])
+@example({"": [], "k": {}, "\u00e9\n": ["\x00", "\u4e2d"]})
+@example(["a", "\u2028", ""])
+@example([True, False, None, 0, -1, 10**30, "x", [], {}])
+@example({"schema": 1, "rows": [{"label": "[((1),(),())]", "values": ["1", "-z"]}]})
+def test_json_writer_matches_json_dumps(document):
+    text = "".join(gelfand.cli._json_chunks(document))
+    assert text == json.dumps(document, indent=2)

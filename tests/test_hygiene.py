@@ -5,8 +5,8 @@ function or class goes unreferenced, every name the package exports
 resolves and README.md names it, exact values keep one representation
 behind one module, value types keep one identity (==, hash, <) and one
 component shift, and the command line writes stdout only through its
-two emit helpers and exchanges the basis flags --p and --q in one
-helper."""
+two emit helpers, renders JSON in one writer and exchanges the basis
+flags --p and --q in one helper."""
 
 import ast
 from collections import Counter
@@ -198,6 +198,37 @@ def test_cli_writes_stdout_only_through_the_emit_helpers():
         and not any(keyword.arg == "file" for keyword in node.keywords)
     ]
     assert not bare_prints, "print without file= at lines %s" % bare_prints
+
+
+JSON_ENCODERS = {"dumps", "dump", "JSONEncoder"}
+
+
+def test_cli_renders_json_in_one_writer():
+    """cli.py names json.dumps, json.dump and JSONEncoder nowhere outside
+    _json_chunks, the one JSON writer, and _emit_json, through which every
+    command writes its JSON, writes what that writer yields."""
+    path = Path(gelfand.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    inside = {id(node) for node in ast.walk(functions["_json_chunks"])}
+    encoders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute) and node.attr in JSON_ENCODERS
+            or isinstance(node, ast.Name) and node.id in JSON_ENCODERS
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name in JSON_ENCODERS for alias in node.names)
+        )
+    ]
+    assert not encoders, "JSON encoded outside _json_chunks at lines %s" % encoders
+    assert any(
+        isinstance(node, ast.Name) and node.id == "_json_chunks"
+        for node in ast.walk(functions["_emit_json"])
+    )
 
 
 def flag_reads(items):

@@ -2,6 +2,8 @@
 formula results are cross-checked against explicit enumeration, and the
 enumeration against an independent recursion over row profiles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,10 @@ from gelfand.shapes import (
     multitableau_shift,
     odd_columns,
     partitions,
+    shape_color,
+    shape_key,
     shape_shift,
+    shape_size,
     shape_str,
 )
 
@@ -89,6 +94,20 @@ def test_shape_enumeration_and_mass():
     for r, n in [(2, 3), (3, 2)]:
         total = sum(count_standard(s) ** 2 for s in enumerate_shapes(r, n))
         assert total == r**n * factorial(n)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_shapes_come_in_key_order_filtered_by_color(r):
+    # every r-tuple of partitions with n boxes whose color q divides, once
+    # each, in shape_key order
+    for n in range({1: 7, 2: 7, 3: 5, 4: 5, 5: 4, 6: 4}[r]):
+        parts = [lam for k in range(n + 1) for lam in partitions(k)]
+        every = [s for s in product(parts, repeat=r) if shape_size(s) == n]
+        for q in (q for q in range(1, r + 1) if r % q == 0):
+            expected = sorted(
+                (s for s in every if shape_color(s) % q == 0), key=shape_key
+            )
+            assert enumerate_shapes(r, n, q) == expected, (r, n, q)
 
 
 def test_shape_shift_and_str():
