@@ -308,15 +308,15 @@ def _raw_type(v) -> tuple:
     twist) of an absolute involution, before canonicalization.
 
     Any other input raises ValueError("element is not an absolute
-    involution").  A lift's symmetry kind decides it by the rule of
-    ProjectiveElement.is_absolute_involution: symmetric, or antisymmetric
-    with even shift order; a plain element has shift order 1.  Fixed points
-    and the 2-cycles (j, k) with j < k are counted by the color at j.
+    involution"), by the one rule of is_absolute_involution: a symmetric
+    lift, or an antisymmetric one with even shift order q; a plain element
+    is its own coset with q = 1.  Fixed points and the 2-cycles (j, k) with
+    j < k are counted by the color at j.
     """
-    shift_order, lift = (v.q, v.rep) if isinstance(v, ProjectiveElement) else (1, v)
-    kind = lift.symmetry_kind()
-    if not (kind == "symmetric" or (kind == "antisymmetric" and shift_order % 2 == 0)):
+    if not v.is_absolute_involution():
         raise ValueError("element is not an absolute involution")
+    shift_order, lift = v.q, v.rep
+    kind = lift.symmetry_kind()
     r = lift.r
     window = list(enumerate(zip(lift.perm, lift.colors), 1))
     if kind == "symmetric":

@@ -398,8 +398,19 @@ def _add_guard_flag(cmd) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subparsers too, whose help goes to stdout through
+    _write_blocks: argparse's own write swallows a BrokenPipeError."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write_blocks((self.format_help(),))
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gelfand",
         description="exact involution-module computations for complex "
         "reflection groups G(r,p,q,n)",
@@ -493,19 +504,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse has written help or usage; a reader that closed stdout
-        # shows when what it wrote there is flushed
-        try:
-            _emit_rows(())
-        except BrokenPipeError:
-            return 141
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:
+        # argparse has written help or usage
+        return exc.code if isinstance(exc.code, int) else 2
     except (UnsupportedGroupError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -26,9 +26,11 @@ from .immutable import Value
 
 
 class ColoredPermutation(Value):
-    """An element of G(r,n) in window notation, immutable."""
+    """An element of G(r,n) in window notation, immutable, and its own
+    coset of scalar order q = 1: what takes a coset takes it too."""
 
     __slots__ = ("r", "perm", "colors")
+    q = 1
 
     def __init__(self, r: int, perm, colors) -> None:
         if r < 1:
@@ -49,6 +51,10 @@ class ColoredPermutation(Value):
     @property
     def n(self) -> int:
         return len(self.perm)
+
+    @property
+    def rep(self) -> "ColoredPermutation":
+        return self
 
     @staticmethod
     def identity(r: int, n: int) -> "ColoredPermutation":
@@ -111,7 +117,9 @@ class ColoredPermutation(Value):
         return self.inverse().color_conjugate()
 
     def is_identity(self) -> bool:
-        return self.is_scalar() and not any(self.colors)
+        """True iff the coset is trivial: a scalar lift whose exponent is a
+        multiple of r/q."""
+        return self.rep.is_scalar() and self.rep.scalar_exponent() % (self.r // self.q) == 0
 
     def is_scalar(self) -> bool:
         return all(s == j + 1 for j, s in enumerate(self.perm)) and len(
@@ -176,11 +184,12 @@ class ColoredPermutation(Value):
     # -- symmetry predicates ------------------------------------------------------
 
     def is_absolute_involution(self) -> bool:
-        """True iff g * conj(g) is the identity, that is, iff g is symmetric:
-        g unitary makes g * conj(g) a scalar c exactly when g^T = c * g, and
-        transposing twice gives c^2 = 1, so c = 1 (g symmetric) or c = -1
-        (g antisymmetric)."""
-        return self.symmetry_kind() == "symmetric"
+        """True iff v * conj(v) is trivial in the quotient.  For any lift g
+        it is a scalar c exactly when g^T = c * g (g is unitary), and then
+        c^2 = 1: c = 1 (g symmetric) lies in every C_q, c = -1 (g
+        antisymmetric) in C_q exactly when q is even."""
+        kind = self.rep.symmetry_kind()
+        return kind == "symmetric" or (kind == "antisymmetric" and self.q % 2 == 0)
 
     def symmetry_kind(self) -> str:
         """'symmetric', 'antisymmetric', or 'neither', as a matrix.
@@ -366,16 +375,8 @@ class ProjectiveElement(Value):
     def color_conjugate(self) -> "ProjectiveElement":
         return ProjectiveElement(self.rep.color_conjugate(), self.q)
 
-    def is_identity(self) -> bool:
-        """True iff the element is trivial in the quotient."""
-        return self.rep.is_scalar() and self.rep.scalar_exponent() % (self.r // self.q) == 0
-
-    def is_absolute_involution(self) -> bool:
-        """True iff v * conj(v) is trivial in the quotient.  The product is
-        the same for every lift and, as a scalar, is 1 (symmetric lift) or
-        -1 (antisymmetric lift); -1 lies in C_q exactly when q is even."""
-        kind = self.rep.symmetry_kind()
-        return kind == "symmetric" or (kind == "antisymmetric" and self.q % 2 == 0)
+    is_identity = ColoredPermutation.is_identity
+    is_absolute_involution = ColoredPermutation.is_absolute_involution
 
     def symmetry_kind(self) -> str:
         return self.rep.symmetry_kind()

@@ -56,43 +56,40 @@ from .colored import (
 from .cyclotomic import Cyclotomic, _HistogramValues
 from .errors import ENUMERATION_GUARD, InconsistencyError
 from .immutable import Immutable
-
-
-def _lift(x) -> ColoredPermutation:
-    return x.rep if isinstance(x, ProjectiveElement) else x
+from .shapes import shape_shift
 
 
 def pairing(g, v) -> int:
-    """Color pairing sum_i z_i(g)z_i(v) mod r, computed on lifts.
+    """Color pairing sum_i z_i(g)z_i(v) mod r, computed on lifts; g and v
+    are cosets, a plain element being its own with q = 1.
 
-    Well defined on cosets because each argument's color sum satisfies the
+    Well defined because each argument's color sum satisfies the
     divisibility the other side's scalar shifts need; that requirement is
-    checked, not assumed.
+    checked, not assumed, and holds at once when q = 1.
     """
-    gl, vl = _lift(g), _lift(v)
+    gl, vl = g.rep, v.rep
     if gl.r != vl.r or gl.n != vl.n:
         raise ValueError("elements live in different groups")
     r = gl.r
-    for coset, other in ((v, gl), (g, vl)):
-        if isinstance(coset, ProjectiveElement) and other.color_sum() * (r // coset.q) % r:
-            raise ValueError("pairing is not lift-independent for this pair")
+    if gl.color_sum() * (r // v.q) % r or vl.color_sum() * (r // g.q) % r:
+        raise ValueError("pairing is not lift-independent for this pair")
     return sum(a * b for a, b in zip(gl.colors, vl.colors)) % r
 
 
 def inv_statistic(g, v) -> int:
     """Number of inversions of |g| located on the 2-cycles of |v|."""
-    g_perm = _lift(g).perm
+    g_perm = g.rep.perm
     return sum(
         1
-        for i, j in enumerate(_lift(v).perm, 1)
+        for i, j in enumerate(v.rep.perm, 1)
         if i < j and g_perm[i - 1] > g_perm[j - 1]
     )
 
 
 def a_statistic(g, v) -> int:
     """Color transferred past position 1: z_1(v) - z_{|g|^{-1}(1)}(v) mod r."""
-    vl = _lift(v)
-    return (vl.colors[0] - vl.colors[_lift(g).perm.index(1)]) % vl.r
+    vl = v.rep
+    return (vl.colors[0] - vl.colors[g.rep.perm.index(1)]) % vl.r
 
 
 class ModelBasis(Immutable):
@@ -206,7 +203,7 @@ def _action_scalar(g: ColoredPermutation, v: ProjectiveElement, twist: bool) -> 
 def model_action(g, basis: ModelBasis, twist: bool = True) -> ModelAction:
     """The monomial action of g (an element of G(r,p,n) or of the quotient)
     on the involution module."""
-    gl = _lift(g)
+    gl = g.rep
     if gl.color_sum() % basis.p != 0:
         raise ValueError("element does not lie in the acting group")
     index = {v: i for i, v in enumerate(basis.elements)}
@@ -489,9 +486,8 @@ class _Sweep:
             if not weight:
                 continue
             for number, counts in self.histogram(kind, signature):
-                if extra:
-                    # the exponent e moves to e + extra
-                    counts = counts[-extra:] + counts[:-extra]
+                # the exponent e moves to e + extra
+                counts = shape_shift(counts, extra)
                 if weight != 1:
                     counts = [weight * count for count in counts]
                 column[number] = list(map(add, column.get(number, zero), counts))

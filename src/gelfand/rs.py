@@ -140,13 +140,12 @@ def involution_from_tableau(p_tab: MultiTableau, antisymmetric: bool = False) ->
 def shape_of(v) -> ShapeOrbit:
     """Shape attached to an absolute involution.
 
-    For a plain group element the orbit is trivial (p = 1); for a coset by
-    scalars of order s the lifts sweep out a component shift orbit with
-    stabilizer parameter s.
+    The lifts of a coset by scalars of order q sweep out a component shift
+    orbit with stabilizer parameter q; for a plain group element, its own
+    coset with q = 1, the orbit is trivial.
     """
-    q, lift = (v.q, v.rep) if isinstance(v, ProjectiveElement) else (1, v)
-    p_tab, _ = rs(lift)
-    return ShapeOrbit(multitableau_shape(p_tab), q)
+    p_tab, _ = rs(v.rep)
+    return ShapeOrbit(multitableau_shape(p_tab), v.q)
 
 
 def projective_rs(v: ProjectiveElement) -> tuple[tuple[MultiTableau, MultiTableau], ...]:

@@ -674,17 +674,22 @@ def test_closed_stdout_exits_141(argv, unbuffered):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--help"], ["model", "decompose", "--help"]],
-    ids=["gelfand", "model-decompose"],
+    "argv, unbuffered",
+    [
+        (["--help"], False),
+        (["model", "decompose", "--help"], False),
+        (["--help"], True),
+        (["model", "decompose", "--help"], True),
+    ],
+    ids=["gelfand", "model-decompose", "gelfand-unbuffered", "model-decompose-unbuffered"],
 )
-def test_help_into_closed_stdout_exits_141(argv):
-    # argparse writes help into the buffer of stdout; the reader is gone
-    # when main flushes it
+def test_help_into_closed_stdout_exits_141(argv, unbuffered):
+    # the help goes out through the block writer, whose write (unbuffered)
+    # or flush (buffered) meets the reader that is gone
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = spawn_cli(argv, write, unbuffered=False)
+        proc = spawn_cli(argv, write, unbuffered=unbuffered)
     finally:
         os.close(write)
     _, err = proc.communicate(timeout=120)

@@ -4,9 +4,10 @@ parameter it never reads (dunder methods aside), no private top-level
 function or class goes unreferenced, every name the package exports
 resolves and README.md names it, exact values keep one representation
 behind one module, value types keep one identity (==, hash, <) and one
-component shift, and the command line writes stdout only through its
-two emit helpers, renders JSON in one writer and exchanges the basis
-flags --p and --q in one helper."""
+component shift, elements and cosets share one interface with no type
+test outside colored.py, and the command line writes stdout only
+through its emit helpers and help writer, renders JSON in one writer and
+exchanges the basis flags --p and --q in one helper."""
 
 import ast
 from collections import Counter
@@ -153,8 +154,77 @@ def test_only_the_value_base_defines_hash_and_order():
     assert defining == ["immutable.py:Value.__hash__", "immutable.py:Value.__lt__"]
 
 
+def negated(bound):
+    """The dump of s when a slice bound reads -s, else None."""
+    if isinstance(bound, ast.UnaryOp) and isinstance(bound.op, ast.USub):
+        return ast.dump(bound.operand)
+    return None
+
+
+def rotations(tree):
+    """The lines that spell the rotation x[-s:] + x[:-s]."""
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Subscript)
+            and isinstance(node.right, ast.Subscript)
+            and isinstance(node.left.slice, ast.Slice)
+            and isinstance(node.right.slice, ast.Slice)
+        ):
+            continue
+        head, tail = node.left.slice, node.right.slice
+        shift = negated(head.lower)
+        if (
+            shift is not None
+            and shift == negated(tail.upper)
+            and head.upper is None
+            and tail.lower is None
+            and ast.dump(node.left.value) == ast.dump(node.right.value)
+        ):
+            yield node.lineno
+
+
 def test_one_component_shift():
     assert gelfand.shapes.multitableau_shift is gelfand.shapes.shape_shift
+
+
+def test_only_shape_shift_spells_the_rotation():
+    """No module but shapes.py, where shape_shift is, spells the rotation
+    x[-s:] + x[:-s]; the rest call shape_shift."""
+    spelled = {
+        path.name: list(rotations(ast.parse(path.read_text(), filename=str(path))))
+        for path in SOURCES
+    }
+    assert spelled.pop("shapes.py"), "the check misses shape_shift itself"
+    stray = {name: lines for name, lines in spelled.items() if lines}
+    assert not stray, "rotations spelled outside shape_shift: %s" % stray
+
+
+def test_elements_and_cosets_share_one_interface():
+    """A plain element is its own coset (q = 1, rep itself): no module but
+    colored.py asks isinstance(..., ProjectiveElement), and the coset
+    predicates is_identity and is_absolute_involution are defined once."""
+    type_tests = []
+    definitions = Counter()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                definitions[node.name] += 1
+            elif (
+                path.name != "colored.py"
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(
+                    isinstance(name, ast.Name) and name.id == "ProjectiveElement"
+                    for arg in node.args[1:]
+                    for name in ast.walk(arg)
+                )
+            ):
+                type_tests.append("%s:%d" % (path.name, node.lineno))
+    assert not type_tests, "type tests for cosets at %s" % type_tests
+    assert definitions["is_identity"] == definitions["is_absolute_involution"] == 1
 
 
 
@@ -171,8 +241,9 @@ def stdout_uses(tree):
 
 def test_cli_writes_stdout_only_through_the_emit_helpers():
     """In cli.py sys.stdout is touched only by _write_blocks, the block
-    writer, which only _emit_json and _emit_rows call; print always names
-    its file, so no line reaches stdout on its own."""
+    writer, which only _emit_json, _emit_rows and the parsers' print_help
+    call; print always names its file, so no line reaches stdout on its
+    own."""
     path = Path(gelfand.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {
@@ -188,7 +259,7 @@ def test_cli_writes_stdout_only_through_the_emit_helpers():
             for node in ast.walk(function)
         )
     }
-    assert callers == {"_emit_json", "_emit_rows"}
+    assert callers == {"_emit_json", "_emit_rows", "print_help"}
     bare_prints = [
         node.lineno
         for node in ast.walk(tree)

@@ -37,6 +37,7 @@ from gelfand.classes import (
     InvolutionClassType,
     class_size,
     enumerate_classes,
+    involution_type,
     normal_element,
 )
 from gelfand.cli import main
@@ -44,6 +45,7 @@ from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
     absolute_conjugate,
+    all_elements,
     parse_window,
     projective_conjugate,
     subgroup_elements,
@@ -112,6 +114,26 @@ def test_pairing_of_a_coset_is_lift_independent():
     odd = parse_window("[1^1,3^0,2^0]", 4)  # color sum 1
     with pytest.raises(ValueError, match="lift-independent"):
         pairing(g, odd)
+
+
+@pytest.mark.parametrize(
+    "r, n", [(r, n) for r in range(1, 5) for n in range(1, 4)] + [(2, 4)]
+)
+def test_a_plain_element_is_its_own_coset_of_scalar_order_1(r, n):
+    """g reads q = 1 and rep = g, and every function of a coset gives g
+    what it gives the coset ProjectiveElement(g, 1)."""
+    elements = list(all_elements(r, n))
+    for g, other in zip(elements, reversed(elements)):
+        assert g.q == 1 and g.rep is g
+        coset = ProjectiveElement(g, 1)
+        for f in (pairing, inv_statistic, a_statistic):
+            assert f(g, other) == f(coset, other), f.__name__
+        assert pairing(other, g) == pairing(other, coset)
+        assert g.is_identity() == coset.is_identity()
+        assert g.is_absolute_involution() == coset.is_absolute_involution()
+        if g.is_absolute_involution():
+            assert involution_type(g) == involution_type(coset)
+            assert shape_of(g) == shape_of(coset)
 
 
 def test_inv_statistic_hand_values():
