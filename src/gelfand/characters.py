@@ -18,17 +18,19 @@ u applies zeta -> zeta^u, which moves exponent e to u*e mod r, and
 multiplying by the central scalar zeta^t multiplies chi^lam by
 zeta^(t*c(lam)), c(lam) = sum of i*|lam^i| (Schur's lemma).  So one row
 per rotation class of the table's shapes is walked, at one class shape
-per orbit of the affine maps among the class shapes.  The columns are
-built one orbit at a time, and the walk's memo over remaining shapes
-lives for one walk only, so no cache outlives one orbit of columns.  For
-split representations of G(r,p,n) (stabilized shapes when GCD(p,n) = 2)
-the two constituents are built as integer 2*chi, the restricted
-character plus or minus the closed-form difference character, and
-halved once; off the split classes the difference is zero.  The table is
-assembled column by column: each class gets one list of value objects,
-one per row; each distinct histogram becomes a value once, reduced in
-ints; and a single zip(*columns) turns the columns into the rows.  So
-the table holds one value object per distinct value.
+per orbit of the affine maps among the class shapes.  These orbits, and
+the shift orbits that label the rows, come from one routine,
+shapes._orbits.  The columns are built one orbit at a time, and the
+walk's memo over remaining shapes lives for one walk only, so no cache
+outlives one orbit of columns.  For split representations of G(r,p,n)
+(stabilized shapes when GCD(p,n) = 2) the two constituents are built as
+integer 2*chi, the restricted character plus or minus the closed-form
+difference character, and halved once; off the split classes the
+difference is zero.  The table is assembled column by column: each class
+gets one list of value objects, one per row; each distinct histogram
+becomes a value once, reduced in ints; and a single zip(*columns) turns
+the columns into the rows.  So the table holds one value object per
+distinct value.
 
 A class function holds its values as a tuple in enumerate_classes order,
 one per class.  The table, the model's block characters and the checks
@@ -64,6 +66,7 @@ from .immutable import Immutable, Value
 from .shapes import (
     Shape,
     ShapeOrbit,
+    _orbits,
     count_standard,
     enumerate_orbits,
     shape_color,
@@ -277,6 +280,18 @@ class IrreducibleLabel(Value):
         return "IrreducibleLabel(%s)" % self
 
 
+def _affine_image(alpha: Shape, g: tuple[int, int]) -> Shape:
+    """alpha under the affine color map g = (u, t), u a unit of Z/r: the
+    color scaling by u, then the product with the central scalar zeta^t,
+    sends each cycle (k, c) to (k, u*c + k*t)."""
+    u, t = g
+    r = len(alpha)
+    components = [[] for _ in range(r)]
+    for k, c in _cycles(alpha):  # longest first, so each stays sorted
+        components[(u * c + k * t) % r].append(k)
+    return tuple(map(tuple, components))
+
+
 def _table_columns(lams, alphas):
     """(alpha, [histogram of chi^lam at alpha for lam in lams]) for every
     class shape alpha of alphas, one orbit under the affine color maps at
@@ -287,68 +302,50 @@ def _table_columns(lams, alphas):
     shifted up by t, its histogram is the representative's times
     zeta^(t*c), c the total color of alpha.  The representative's
     histograms are walked at the first class shape of each orbit under the
-    maps that send a cycle (k, c) to (k, u*c + k*t), u a unit of Z/r and t
-    in Z/r: the color scaling by u, then the product with the central
-    scalar zeta^t.  At the image exponent e moves to u*e, and the row of
-    lam rotates by t*c(lam), c(lam) = sum of i*|lam^i|, as zeta^t acts on
-    that representation by zeta^(t*c(lam)).  Central images of a class
-    shape of G(r,p,n) lie in G(r,p,n) only when p divides t*n, so only
-    the images among alphas are taken; color scalings always are.
+    affine color maps (u, t) of _affine_image.  At the image exponent e
+    moves to u*e, and the row of lam rotates by t*c(lam), c(lam) = sum of
+    i*|lam^i|, as zeta^t acts on that representation by zeta^(t*c(lam)).
+    Central images of a class shape of G(r,p,n) lie in G(r,p,n) only when
+    p divides t*n, so only the images among alphas are taken; color
+    scalings always are.
     """
     r = len(lams[0])
-    reps = []
-    index: dict = {}  # representative shape -> its position in reps
-    positions = []  # per lam: its representative's position in reps
-    shifts = []  # per lam: the shift t from its representative
-    for lam in lams:
-        for t in range(r):
-            pos = index.get(shape_shift(lam, -t))
-            if pos is not None:
-                break
-        else:
-            t = 0
-            pos = index[lam] = len(reps)
-            reps.append(lam)
-        positions.append(pos)
-        shifts.append(t)
-    # the rotation of lam's row under zeta^t is t times c(lam)
-    central = [shape_color(lam) for lam in lams]
-    units = [(u, pow(u, -1, r)) for u in range(1, r + 1) if gcd(u, r) == 1]
+    units = [u for u in range(1, r + 1) if gcd(u, r) == 1]
     # move (v, s) maps a walked histogram to the one at the image under the
     # unit 1/v, rotated by s: entry e of it is entry v*(e - s) of the walked one
-    moves = [(v, s) for _, v in units for s in range(r)]
+    moves = [(pow(u, -1, r), s) for u in units for s in range(r)]
     slot = {key: i for i, key in enumerate(moves)}
     getters = []
     for v, s in moves:
         entries = [v * (e - s) % r for e in range(r)]
         getters.append(tuple if entries == list(range(r)) else itemgetter(*entries))
+    rotations = _orbits(lams, range(r), shape_shift)
+    reps = list(dict.fromkeys(rep for rep, _ in rotations))
+    index = {rep: i * len(moves) for i, rep in enumerate(reps)}
+    # per lam: its representative's first place in moved below, the shift s
+    # from it, and c(lam), as zeta^t rotates the row of lam by t*c(lam)
+    rows = [(index[rep], s, shape_color(lam)) for lam, (rep, s) in zip(lams, rotations)]
+    # per representative class shape, its orbit: (image, (u, t)) in alphas order
+    orbits: dict = {}
+    maps = [(u, t) for u in units for t in range(r)]
+    for alpha, (rep, g) in zip(alphas, _orbits(alphas, maps, _affine_image)):
+        orbits.setdefault(rep, []).append((alpha, g))
     # (u, t, total color c of alpha) -> per lam, the place in moved below of
     # its representative's histogram under move (1/u, u*s*c + t*c(lam))
     places: dict = {}
-    done = set()
-    for alpha in alphas:
-        if alpha in done:
-            continue
+    for alpha, images in orbits.items():
         cycles = _cycles(alpha)
         color = label_color(alpha) % r
         # every move of every walked histogram, representative by representative
         moved = [f(h) for h in _wreath_histograms(reps, cycles) for f in getters]
-        for u, v in units:
-            for t in range(r):
-                components = [[] for _ in range(r)]
-                for k, c in cycles:  # longest first, so each stays sorted
-                    components[(u * c + k * t) % r].append(k)
-                image = tuple(map(tuple, components))
-                if image in done or image not in alphas:
-                    continue
-                done.add(image)
-                picks = places.get((u, t, color))
-                if picks is None:
-                    picks = places[u, t, color] = [
-                        pos * len(moves) + slot[v, (u * s * color + t * z) % r]
-                        for pos, s, z in zip(positions, shifts, central)
-                    ]
-                yield image, list(map(moved.__getitem__, picks))
+        for image, (u, t) in images:
+            picks = places.get((u, t, color))
+            if picks is None:
+                v = pow(u, -1, r)
+                picks = places[u, t, color] = [
+                    start + slot[v, (u * s * color + t * z) % r] for start, s, z in rows
+                ]
+            yield image, list(map(moved.__getitem__, picks))
 
 
 def character_table(r: int, p: int, q: int, n: int):

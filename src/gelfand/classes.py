@@ -288,18 +288,17 @@ class InvolutionClassType(Value):
     @staticmethod
     def parse(text: str, r: int, shift_order: int) -> "InvolutionClassType":
         text = text.strip()
-        if text.startswith("sym[") and text.endswith("]"):
-            body = text[4:-1]
-            parts = body.split(";")
-            if len(parts) != 2:
-                raise ValueError("expected sym[f...;q...]")
-            fixed = tuple(int(x) for x in parts[0].split(",")) if parts[0] else ()
-            pair = tuple(int(x) for x in parts[1].split(",")) if parts[1] else ()
-            return InvolutionClassType(r, shift_order, "sym", fixed=fixed, pair=pair)
-        if text.startswith("asym[") and text.endswith("]"):
-            body = text[5:-1]
-            twist = tuple(int(x) for x in body.split(",")) if body else ()
-            return InvolutionClassType(r, shift_order, "asym", twist=twist)
+        kind, _, body = text.partition("[")
+        names = {"sym": ("fixed", "pair"), "asym": ("twist",)}.get(kind)
+        try:
+            vectors = [
+                tuple(int(x) for x in part.split(",")) if part else ()
+                for part in body.removesuffix("]").split(";")
+            ]
+        except ValueError:  # an entry that is not an integer
+            names = None
+        if names and body.endswith("]") and len(vectors) == len(names):
+            return InvolutionClassType(r, shift_order, kind, **dict(zip(names, vectors)))
         raise ValueError("unrecognized type text: %r" % text)
 
 

@@ -50,7 +50,7 @@ _BASIS_GROUP_HELP = (
 
 
 def _resolve_max_order(args) -> int:
-    if getattr(args, "max_group_order", None) is not None:
+    if args.max_group_order is not None:
         value, source = args.max_group_order, "--max-group-order"
     else:
         env = os.environ.get("MODEL_MAX_ORDER")
@@ -160,9 +160,8 @@ def _group_dict(r, p, q, n) -> dict:
 
 def _cmd_group_info(args) -> int:
     from .characters import irreducible_count
-    from .colored import check_group_parameters, group_order
+    from .colored import group_order
 
-    check_group_parameters(args.r, args.p, args.q, args.n)
     order = group_order(args.r, args.p, args.q, args.n)
     # for any finite group these two counts agree; both come from labels
     count = irreducible_count(args.r, args.p, args.q, args.n)

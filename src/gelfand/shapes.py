@@ -146,19 +146,27 @@ class ShapeOrbit(Value):
         return "ShapeOrbit(p=%d, %s)" % (self.p, self)
 
 
+def _orbits(items, maps, act) -> list[tuple]:
+    """(rep, g) per item, in items order: rep the first item of its orbit, g
+    the first of maps with act(rep, g) == item.  The maps form a group,
+    identity first; images outside items are ignored.  The one orbit loop."""
+    found: dict = {}
+    for item in items:
+        if item not in found:
+            for g in maps:
+                found.setdefault(act(item, g), (item, g))
+    return [found[item] for item in items]
+
+
 def enumerate_orbits(r: int, n: int, p: int, q: int = 1) -> list[ShapeOrbit]:
     """All shift orbits on the shapes of Fer(r,n) with color divisible by q,
-    in ShapeOrbit order: one orbit per shape not already in an orbit, and
-    one sort key per orbit."""
-    seen = set()
-    out = []
-    for shape in enumerate_shapes(r, n, q):
-        if shape not in seen:
-            orb = ShapeOrbit(shape, p)
-            seen.update(orb.members)
-            out.append(orb)
-    out.sort(key=ShapeOrbit.sort_key)
-    return out
+    in ShapeOrbit order: one orbit per representative under the shifts by
+    r/p, and one sort key per orbit."""
+    if p < 1 or r % p != 0:
+        raise ValueError("p must divide the number of components")
+    shapes = enumerate_shapes(r, n, q)
+    reps = {rep for rep, _ in _orbits(shapes, range(0, r, r // p), shape_shift)}
+    return sorted((ShapeOrbit(rep, p) for rep in reps), key=ShapeOrbit.sort_key)
 
 
 # -- counting ------------------------------------------------------------------

@@ -196,6 +196,27 @@ def test_type_parse_round_trip():
         assert InvolutionClassType.parse(str(ctype), r, order) == ctype
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sym[a;b]",
+        "sym[1,x;0,0]",
+        "asym[q]",
+        "sym[1;2;3]",
+        "sym[1,1]",
+        "asym[1;1]",
+        "sym[1,1;1,1]]",
+        "sym",
+        "twin[1;1]",
+    ],
+)
+def test_type_parse_rejects_malformed_text(text):
+    # every malformed text, non-integer entries included, gets one message
+    with pytest.raises(ValueError) as caught:
+        InvolutionClassType.parse(text, 2, 2)
+    assert str(caught.value) == "unrecognized type text: %r" % text
+
+
 def test_types_classify_plain_conjugacy():
     """Equal type must coincide with being conjugate by a plain
     permutation, both directions, exhaustively."""

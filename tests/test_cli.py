@@ -385,6 +385,17 @@ def test_unsupported_model_names_the_flag_typed(capsys, command):
     assert err == "error: only groups with GCD(q,n) in {1,2} are supported, got 3\n"
 
 
+@pytest.mark.parametrize("text", ["sym[a;b]", "sym[1,x;0,0]", "asym[q]"])
+def test_malformed_class_names_the_text(capsys, text):
+    # an entry that is not an integer is malformed type text, reported as
+    # such and not as int()'s message
+    argv = ["model", "decompose", "--r", "2", "--p", "1", "--q", "2", "--n", "6"]
+    code, out, err = run(capsys, argv + ["--class", text])
+    assert code == 2
+    assert out == ""
+    assert err == "error: unrecognized type text: %r\n" % text
+
+
 def test_failed_internal_check_exits_3(capsys, monkeypatch):
     import gelfand.classes
 

@@ -3,11 +3,12 @@ package imports a name it never uses, no function of it takes a
 parameter it never reads (dunder methods aside), no private top-level
 function or class goes unreferenced, every name the package exports
 resolves and README.md names it, exact values keep one representation
-behind one module, value types keep one identity (==, hash, <) and one
-component shift, elements and cosets share one interface with no type
-test outside colored.py, and the command line writes stdout only
-through its emit helpers and help writer, renders JSON in one writer and
-exchanges the basis flags --p and --q in one helper."""
+behind one module, value types keep one identity (==, hash, <), one
+component shift and one affine color map, elements and cosets share one
+interface with no type test outside colored.py, and the command line
+writes stdout only through its emit helpers and help writer, renders
+JSON in one writer and exchanges the basis flags --p and --q in one
+helper."""
 
 import ast
 from collections import Counter
@@ -199,6 +200,49 @@ def test_only_shape_shift_spells_the_rotation():
     assert spelled.pop("shapes.py"), "the check misses shape_shift itself"
     stray = {name: lines for name, lines in spelled.items() if lines}
     assert not stray, "rotations spelled outside shape_shift: %s" % stray
+
+
+def affine_maps(tree):
+    """The functions, by name, whose body spells the affine color map
+    (u * c + k * t) % r: a sum of two products of two names each, reduced
+    mod a name, in any order of the terms and factors; "<module>" for one
+    outside any function."""
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+
+    def product_of_names(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Name)
+            and isinstance(node.right, ast.Name)
+        )
+
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Name)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add)
+            and product_of_names(node.left.left)
+            and product_of_names(node.left.right)
+        ):
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            yield getattr(node, "name", "<module>")
+
+
+def test_only_affine_image_spells_the_affine_color_map():
+    """characters._affine_image is the one statement of the affine color
+    map (k, c) -> (k, u*c + k*t); the rest call it."""
+    spelled = {
+        (path.name, name)
+        for path in SOURCES
+        for name in affine_maps(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert spelled == {("characters.py", "_affine_image")}
 
 
 def test_elements_and_cosets_share_one_interface():

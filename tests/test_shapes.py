@@ -3,14 +3,18 @@ formula results are cross-checked against explicit enumeration, and the
 enumeration against an independent recursion over row profiles."""
 
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelfand.characters import _affine_image
+from gelfand.classes import enumerate_classes
 from gelfand.errors import ResourceLimitError
 from gelfand.shapes import (
     ShapeOrbit,
+    _orbits,
     conjugate_partition,
     count_standard,
     count_standard_tableaux,
@@ -164,6 +168,121 @@ def test_count_standard_on_split_orbit():
     assert orbit.m == 2
     # two fillings of the pair of single boxes, halved by the stabilizer
     assert count_standard(orbit) == 1
+
+
+# -- the orbit routine -----------------------------------------------------------
+
+
+def _closure(item, maps, act) -> set:
+    """The orbit of item under the maps, applied again and again until no
+    image is new: by brute force, with no group assumed."""
+    orbit, frontier = {item}, [item]
+    while frontier:
+        x = frontier.pop()
+        for g in maps:
+            y = act(x, g)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _check_orbits(items, maps, act) -> list[tuple]:
+    """Check _orbits on items against the brute-force closure: every rep
+    maps onto its item by the first map that does, comes first in items
+    among its orbit, and the items sharing a rep are the orbit's items."""
+    pairs = _orbits(items, maps, act)
+    assert len(pairs) == len(items)
+    by_rep: dict = {}
+    for item, (rep, g) in zip(items, pairs):
+        assert act(rep, g) == item
+        assert g == next(h for h in maps if act(rep, h) == item)
+        by_rep.setdefault(rep, []).append(item)
+    for rep, members in by_rep.items():
+        closure = _closure(rep, maps, act)
+        assert members == [x for x in items if x in closure]
+        assert rep == members[0]
+    return pairs
+
+
+def test_orbits_keep_items_order_and_ignore_outside_images():
+    # Z/6 under the shifts by 0, 2, 4: the odd items form one orbit, led by
+    # 5, and 4, an image that is not an item, is ignored
+    pairs = _check_orbits([5, 1, 3, 0, 2], [0, 2, 4], lambda x, g: (x + g) % 6)
+    assert pairs == [(5, 0), (5, 2), (5, 4), (0, 0), (0, 2)]
+
+
+def _orbits_by_seen_loop(r, n, p, q):
+    """enumerate_orbits as it was written before _orbits: one ShapeOrbit
+    per shape not yet seen in an orbit."""
+    seen = set()
+    out = []
+    for shape in enumerate_shapes(r, n, q):
+        if shape not in seen:
+            orb = ShapeOrbit(shape, p)
+            seen.update(orb.members)
+            out.append(orb)
+    out.sort(key=ShapeOrbit.sort_key)
+    return out
+
+
+# (r, n, p, q), p = r included
+ORBIT_PANEL = [
+    (2, 4, 2, 1),
+    (2, 4, 1, 2),
+    (2, 5, 2, 1),
+    (3, 3, 3, 1),
+    (3, 3, 1, 3),
+    (4, 3, 2, 1),
+    (4, 4, 4, 1),
+    (4, 4, 2, 2),
+    (6, 2, 2, 1),
+    (6, 3, 6, 2),
+    (6, 3, 3, 2),
+]
+
+
+@pytest.mark.parametrize("p", [0, -1, 3, 5])
+def test_enumerate_orbits_rejects_a_p_that_does_not_divide_r(p):
+    # checked before r // p makes the shifts, so no p fails silently
+    with pytest.raises(ValueError, match="p must divide the number of components"):
+        enumerate_orbits(4, 2, p)
+
+
+@pytest.mark.parametrize("r,n,p,q", ORBIT_PANEL)
+def test_shift_orbits_match_closure_and_seen_loop(r, n, p, q):
+    shapes = enumerate_shapes(r, n, q)
+    _check_orbits(shapes, range(0, r, r // p), shape_shift)
+    # ShapeOrbit compares p and members, which fix canonical and m
+    assert enumerate_orbits(r, n, p, q) == _orbits_by_seen_loop(r, n, p, q)
+
+
+@pytest.mark.parametrize(
+    "r,p,q,n", [(2, 1, 2, 5), (4, 1, 2, 3), (4, 2, 2, 4), (4, 1, 4, 3), (6, 1, 3, 4)]
+)
+def test_row_rotations_of_a_quotient_table(r, p, q, n):
+    # the rows of the table of G(r,p,q,n), q > 1, are orbit canonicals whose
+    # color q divides, and some rotation of them is not a row: the
+    # representatives and their shifts still come from the rows
+    lams = [orbit.canonical for orbit in enumerate_orbits(r, n, p, q)]
+    _check_orbits(lams, range(r), shape_shift)
+    assert any(shape_shift(lam, 1) not in lams for lam in lams)
+
+
+@pytest.mark.parametrize(
+    "r,p,n", [(2, 2, 6), (4, 2, 4), (6, 2, 4), (4, 4, 2), (4, 4, 3), (6, 3, 4)]
+)
+def test_affine_orbits_of_class_shapes(r, p, n):
+    # on the class shapes of G(r,p,n), p > 1, the central image by zeta^t
+    # leaves the group exactly when p does not divide t*n; the groups with
+    # GCD(p,n) = 2 have split classes
+    classes = enumerate_classes(r, p, n)
+    alphas = list(dict.fromkeys(c.alpha for c in classes))
+    maps = [(u, t) for u in range(1, r + 1) if gcd(u, r) == 1 for t in range(r)]
+    _check_orbits(alphas, maps, _affine_image)
+    leaving = {t for a in alphas for u, t in maps if _affine_image(a, (u, t)) not in alphas}
+    assert leaving == {t for t in range(r) if t * n % p}
+    assert any(c.half is not None for c in classes) == (gcd(p, n) == 2)
 
 
 def test_multitableau_shift_moves_components():
