@@ -100,7 +100,10 @@ def _strips(partition: tuple[int, ...], k: int) -> tuple:
 
 def sym_character(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     """Symmetric-group character value chi_lam(alpha): the one-color case
-    of the wreath rule, a border strip removed per cycle of alpha."""
+    of the wreath rule, a border strip removed per cycle of alpha.  lam is
+    a partition; alpha lists positive cycle lengths in any order."""
+    validate_shape((lam,))
+    validate_shape((tuple(sorted(alpha, reverse=True)),))
     if sum(lam) != sum(alpha):
         raise ValueError("partition sizes differ")
     return _wreath_histograms([(lam,)], [(k, 0) for k in alpha])[0][0]

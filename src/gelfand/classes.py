@@ -84,7 +84,7 @@ class ConjugacyClass(Value):
         validate_shape(alpha)
         if len(alpha) != r:
             raise ValueError("label needs one component per color")
-        if r % p != 0:
+        if p < 1 or r % p != 0:
             raise ValueError("p must divide r")
         if label_color(alpha) % p != 0:
             raise ValueError("label color is not divisible by p")
@@ -120,6 +120,8 @@ class ConjugacyClass(Value):
 
 def class_of(g: ColoredPermutation, p: int = 1) -> ConjugacyClass:
     """The G(r,p,n)-class of g."""
+    if p < 1 or g.r % p != 0:
+        raise ValueError("p must divide r")
     if g.color_sum() % p != 0:
         raise ValueError("element does not lie in the subgroup")
     alpha = _alpha_of(g)
@@ -232,7 +234,7 @@ class InvolutionClassType(Value):
     __slots__ = ("r", "shift_order", "kind", "fixed", "pair", "twist")
 
     def __init__(self, r, shift_order, kind, fixed=None, pair=None, twist=None):
-        if r % shift_order != 0:
+        if shift_order < 1 or r % shift_order != 0:
             raise ValueError("shift order must divide the color order")
         step = r // shift_order
         if kind == "sym":

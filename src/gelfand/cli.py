@@ -15,8 +15,9 @@ group whose absolute involutions span the module; that module is a
 representation of the dual group, obtained by exchanging p and q in
 _acting_group alone.
 
-Each subcommand imports the library modules it runs when it runs, so
---help and usage errors load none of them.
+Each subcommand is one row of _COMMANDS, its help, flags and handler,
+and it imports the library modules it runs when it runs, so --help and
+usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -377,24 +378,68 @@ def _cmd_model_gelfand_check(args) -> int:
     return 0 if passed else 1
 
 
-def _add_group_flags(cmd, with_q: bool = True) -> None:
-    cmd.add_argument("--r", type=int, required=True, help="color order")
-    cmd.add_argument("--p", type=int, required=True, help="color-sum divisor")
-    if with_q:
-        cmd.add_argument(
-            "--q", type=int, required=True, help="scalar quotient order"
-        )
-    cmd.add_argument("--n", type=int, required=True, help="number of letters")
+def _flag(*names, **options) -> tuple:
+    """One argument of a parser: the arguments of its add_argument call."""
+    return names, options
 
 
-def _add_guard_flag(cmd) -> None:
-    cmd.add_argument(
+# the flag sets of the subcommand table
+_GROUP = (
+    _flag("--r", type=int, required=True, help="color order"),
+    _flag("--p", type=int, required=True, help="color-sum divisor"),
+    _flag("--q", type=int, required=True, help="scalar quotient order"),
+    _flag("--n", type=int, required=True, help="number of letters"),
+)
+_GROUP_WITHOUT_Q = _GROUP[:2] + _GROUP[3:]
+_GUARD = (
+    _flag(
         "--max-group-order",
         type=int,
         default=None,
         help="enumeration guard on r^n*n! (default %d, or MODEL_MAX_ORDER)"
         % ENUMERATION_GUARD,
-    )
+    ),
+)
+_JSON = (_flag("--json", action="store_true"),)
+_CLASS = (
+    _flag(
+        "--class",
+        dest="cls",
+        default=None,
+        help="restrict to one class type, e.g. 'sym[1,1;1,1]'",
+    ),
+)
+_WINDOW = (_flag("window", help="window notation, e.g. [2^0,1^1]"), _GROUP[0])
+
+# One row per command path, in help order: its words, help, description,
+# flags and handler.  A row without a handler holds the subcommands of
+# the rows whose words extend its own.
+_COMMANDS = (
+    ("group", "group-level facts", None, (), None),
+    ("group info", "order, class count and irreducible count", None,
+     _GROUP + _JSON, _cmd_group_info),
+    ("involutions", "absolute involutions of G(r,p,q,n) and their class types",
+     None, (), None),
+    ("involutions list", "one row per involution", _BASIS_GROUP_HELP,
+     _GROUP + _GUARD + _JSON, _cmd_involutions_list),
+    ("involutions types", "one row per class type, with predicted shapes",
+     _BASIS_GROUP_HELP, _GROUP + _GUARD + _JSON, _cmd_involutions_types),
+    ("rs", "insertion correspondence", None, (), None),
+    ("rs apply", "insert a window, print the tableau pair as JSON", None,
+     _WINDOW, _cmd_rs_apply),
+    ("classes", "conjugacy classes of G(r,p,n)", None, (), None),
+    ("classes list", "label, size and canonical representative per class",
+     None, _GROUP_WITHOUT_Q + _JSON, _cmd_classes_list),
+    ("chartable", "exact irreducible character table of G(r,p,q,n)", None,
+     _GROUP + _JSON, _cmd_chartable),
+    ("model", "build the involution module and verify its decomposition",
+     None, (), None),
+    ("model decompose", "per-class-type decomposition report, checked against "
+     "the predicted constituents", _BASIS_GROUP_HELP, _GROUP + _GUARD + _CLASS,
+     _cmd_model_decompose),
+    ("model gelfand-check", "multiplicity of every irreducible in the full "
+     "module", _BASIS_GROUP_HELP, _GROUP + _GUARD, _cmd_model_gelfand_check),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,91 +459,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact involution-module computations for complex "
         "reflection groups G(r,p,q,n)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    group = sub.add_parser("group", help="group-level facts")
-    group_sub = group.add_subparsers(dest="subcommand", required=True)
-    info = group_sub.add_parser(
-        "info", help="order, class count and irreducible count"
-    )
-    _add_group_flags(info)
-    info.add_argument("--json", action="store_true")
-    info.set_defaults(handler=_cmd_group_info)
-
-    inv = sub.add_parser(
-        "involutions",
-        help="absolute involutions of G(r,p,q,n) and their class types",
-    )
-    inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-    inv_list = inv_sub.add_parser(
-        "list", help="one row per involution", description=_BASIS_GROUP_HELP
-    )
-    inv_types = inv_sub.add_parser(
-        "types",
-        help="one row per class type, with predicted shapes",
-        description=_BASIS_GROUP_HELP,
-    )
-    for cmd in (inv_list, inv_types):
-        _add_group_flags(cmd)
-        _add_guard_flag(cmd)
-        cmd.add_argument("--json", action="store_true")
-    inv_list.set_defaults(handler=_cmd_involutions_list)
-    inv_types.set_defaults(handler=_cmd_involutions_types)
-
-    rs_cmd = sub.add_parser("rs", help="insertion correspondence")
-    rs_sub = rs_cmd.add_subparsers(dest="subcommand", required=True)
-    rs_apply = rs_sub.add_parser(
-        "apply", help="insert a window, print the tableau pair as JSON"
-    )
-    rs_apply.add_argument("window", help="window notation, e.g. [2^0,1^1]")
-    rs_apply.add_argument("--r", type=int, required=True, help="color order")
-    rs_apply.set_defaults(handler=_cmd_rs_apply)
-
-    classes_cmd = sub.add_parser("classes", help="conjugacy classes of G(r,p,n)")
-    classes_sub = classes_cmd.add_subparsers(dest="subcommand", required=True)
-    classes_list = classes_sub.add_parser(
-        "list", help="label, size and canonical representative per class"
-    )
-    _add_group_flags(classes_list, with_q=False)
-    classes_list.add_argument("--json", action="store_true")
-    classes_list.set_defaults(handler=_cmd_classes_list)
-
-    chartable = sub.add_parser(
-        "chartable", help="exact irreducible character table of G(r,p,q,n)"
-    )
-    _add_group_flags(chartable)
-    chartable.add_argument("--json", action="store_true")
-    chartable.set_defaults(handler=_cmd_chartable)
-
-    model = sub.add_parser(
-        "model",
-        help="build the involution module and verify its decomposition",
-    )
-    model_sub = model.add_subparsers(dest="subcommand", required=True)
-    decompose_cmd = model_sub.add_parser(
-        "decompose",
-        help="per-class-type decomposition report, checked against the "
-        "predicted constituents",
-        description=_BASIS_GROUP_HELP,
-    )
-    _add_group_flags(decompose_cmd)
-    _add_guard_flag(decompose_cmd)
-    decompose_cmd.add_argument(
-        "--class",
-        dest="cls",
-        default=None,
-        help="restrict to one class type, e.g. 'sym[1,1;1,1]'",
-    )
-    decompose_cmd.set_defaults(handler=_cmd_model_decompose)
-    check_cmd = model_sub.add_parser(
-        "gelfand-check",
-        help="multiplicity of every irreducible in the full module",
-        description=_BASIS_GROUP_HELP,
-    )
-    _add_group_flags(check_cmd)
-    _add_guard_flag(check_cmd)
-    check_cmd.set_defaults(handler=_cmd_model_gelfand_check)
-
+    # the subcommand action of each row that holds subcommands, by its words
+    holders = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, summary, description, flags, handler in _COMMANDS:
+        above, _, name = words.rpartition(" ")
+        cmd = holders[above].add_parser(name, help=summary, description=description)
+        for names, options in flags:
+            cmd.add_argument(*names, **options)
+        if handler is None:
+            holders[words] = cmd.add_subparsers(dest="subcommand", required=True)
+        else:
+            cmd.set_defaults(handler=handler)
     return parser
 
 

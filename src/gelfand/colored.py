@@ -411,6 +411,8 @@ def all_elements(r: int, n: int):
 
 def subgroup_elements(r: int, p: int, n: int):
     """Iterate over G(r,p,n) = elements whose color sum is 0 mod p."""
+    if p < 1 or r % p != 0:
+        raise ValueError("p must divide r")
     for g in all_elements(r, n):
         if sum(g.colors) % p == 0:
             yield g

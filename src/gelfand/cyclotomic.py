@@ -87,6 +87,8 @@ def _reduce_mod_phi(nums: list[int], r: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _root_power_coeffs(r: int, k: int) -> tuple[int, ...]:
     """Power-basis coordinates of zeta_r^k."""
+    if r < 1:
+        raise ValueError("order must be a positive integer")
     k %= r
     return tuple(_reduce_mod_phi([0] * k + [1], r))
 

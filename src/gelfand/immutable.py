@@ -6,8 +6,8 @@ through object.__setattr__; any later assignment raises.
 A Value compares by the key its subclass returns from _key(): equal
 values share a class and a key, a value hashes as its key (computed
 once and kept, as a label is hashed many times over nested shape
-tuples), and values order by sort_key(), the key unless the subclass
-sorts otherwise.  The quotient's value types take their identity up to
+tuples), and values of one class order by sort_key(), the key unless
+the subclass sorts otherwise.  The quotient's value types take their identity up to
 the scalar shift this way: a coset by its least lift, an irreducible by
 its shift orbit of shapes, an involution type by its least rotation.
 """
@@ -40,4 +40,6 @@ class Value(Immutable):
             return self._hash
 
     def __lt__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
         return self.sort_key() < other.sort_key()

@@ -85,8 +85,8 @@ def enumerate_shapes(r: int, n: int, q: int = 1) -> list[Shape]:
     """All r-tuples of partitions with n boxes and color divisible by q, in
     shape_key order: component sizes in lexicographic order, and for each
     the product of their partitions, larger parts first."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
+    if r < 1 or n < 0 or q < 1:
+        raise ValueError("need r >= 1, n >= 0 and q >= 1")
 
     def compositions(i, remaining):
         if i == r - 1:

@@ -70,6 +70,27 @@ def test_sym_s4_table():
     assert [sym_character((2, 1, 1), a) for a in classes] == [3, -1, -1, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "lam, alpha, message",
+    [
+        ((1, 2), (3,), "weakly decreasing"),
+        ((0, 3), (3,), "weakly decreasing"),
+        ((3, 0), (3,), "positive"),
+        ((3,), (0, 3), "positive"),
+        ((3,), (3, 0), "positive"),
+    ],
+)
+def test_sym_character_rejects_what_is_not_a_partition(lam, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        sym_character(lam, alpha)
+
+
+def test_sym_character_takes_cycles_in_any_order():
+    for lam in partitions(5):
+        for alpha in partitions(5):
+            assert sym_character(lam, alpha[::-1]) == sym_character(lam, alpha)
+
+
 def test_sym_first_column_is_dimension():
     for m in range(1, 7):
         for lam in partitions(m):

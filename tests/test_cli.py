@@ -1,6 +1,7 @@
 """End-to-end command line checks: output formats, exit codes,
 determinism, and the guard/env-var plumbing."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -550,6 +551,22 @@ def test_chartable_text_bytes_pinned(capsys):
 # library modules, so its text (the guard default included) is pinned here
 HELP_OUTPUT = [
     ([], "a449c010b286b71ffc2b5280cb943cf8597f217e46120a883ed247065b20417b"),
+    (["group"], "831cf35ad9efd27f1f5386b185f49586ef92b75f80f877dce460ca380a659d50"),
+    (
+        ["group", "info"],
+        "1332300cac6425ca815e64ebad86b7021081ea279db6b52fa3d3c5ba31a25ffd",
+    ),
+    (
+        ["involutions"],
+        "9ac2c50208bea991b39d129147bab89910eead584d2db54519ac7d6843b28aa3",
+    ),
+    (["rs"], "d3e4e3aa64b125757d67d6aaa8a9f87478560266b6be9ad4af987114b3604537"),
+    (["classes"], "1fea572c4ba6559ea5b09cf94fa8a0a34bcac7319a76e2b56b8178db216aad57"),
+    (
+        ["classes", "list"],
+        "0d2df8cd8d889af7ba821cbff8a5771e1cccf821fa588da482fa0abc0c46e891",
+    ),
+    (["model"], "f49ce9798bba9af4aec90ff90a5b8dbbb955309360908c1211822d9c4a1d1592"),
     (
         ["model", "decompose"],
         "67e32471530f652429590f6477ab34f0e3c2901830705f21342d67847df4530e",
@@ -586,6 +603,21 @@ def test_help_bytes_pinned(capsys, monkeypatch, argv, digest):
     code, out, _ = run(capsys, argv + ["--help"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def help_pages(parser, words=()):
+    """The words of every parser under parser, parser itself first."""
+    yield words
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from help_pages(sub, words + (name,))
+
+
+def test_every_help_page_is_pinned():
+    pages = list(help_pages(gelfand.cli._build_parser()))
+    assert len(pages) == 14
+    assert set(pages) == {tuple(argv) for argv, _ in HELP_OUTPUT}
 
 
 class WriteThroughCounter(io.TextIOBase):

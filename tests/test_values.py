@@ -6,11 +6,14 @@ InvolutionClassType, ShapeOrbit and IrreducibleLabel take ==, hash and
 reference functions below are the methods each type once defined for
 itself, kept verbatim; ==, hash and sorted order must agree with them
 on the class lists, involution types and cosets, shape orbits and
-irreducible labels that the model works with.
+irreducible labels that the model works with.  Values of two types do
+not order, and an order of zero is refused as a ValueError by the value
+types and by the functions that build them.
 """
 
 import random
 from functools import cmp_to_key
+from operator import ge, gt, le, lt
 
 import pytest
 
@@ -18,11 +21,13 @@ from gelfand.characters import IrreducibleLabel, character_table
 from gelfand.classes import (
     ConjugacyClass,
     InvolutionClassType,
+    class_of,
     enumerate_classes,
     enumerate_involution_classes,
 )
-from gelfand.colored import ColoredPermutation, ProjectiveElement
-from gelfand.shapes import ShapeOrbit, enumerate_orbits, shape_key
+from gelfand.colored import ColoredPermutation, ProjectiveElement, subgroup_elements
+from gelfand.cyclotomic import Cyclotomic, zeta
+from gelfand.shapes import ShapeOrbit, enumerate_orbits, enumerate_shapes, shape_key
 
 
 # -- the reference methods, as each type defined them ---------------------------
@@ -208,3 +213,53 @@ def test_a_coset_never_equals_its_lift():
     assert v.rep == w and hash(v.rep) == hash(w)
     assert v != w and w != v
     assert not projective_eq(v, w) and not colored_eq(w, v)
+
+
+def test_values_of_two_types_do_not_order():
+    w = ColoredPermutation(2, (2, 1), (0, 1))
+    label = ConjugacyClass(2, 1, ((2,), ()))
+    orbit = ShapeOrbit(((2,), ()), 1)
+    for a, b in [(ProjectiveElement(w, 1), w), (label, orbit)]:
+        for x, y in [(a, b), (b, a)]:
+            names = (type(x).__name__, type(y).__name__)
+            for compare, symbol in [(lt, "<"), (le, "<="), (gt, ">"), (ge, ">=")]:
+                message = "'%s' not supported between instances of '%s' and '%s'"
+                with pytest.raises(TypeError, match=message % ((symbol,) + names)):
+                    compare(x, y)
+
+
+W = ColoredPermutation(2, (2, 1), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: enumerate_shapes(2, 2, 0),
+        lambda: enumerate_orbits(2, 2, 1, 0),
+        lambda: InvolutionClassType(2, 0, "sym", (1, 0), (0, 0)),
+        lambda: ConjugacyClass(2, 0, ((2,), ())),
+        lambda: class_of(W, 0),
+        lambda: list(subgroup_elements(2, 0, 2)),
+        lambda: zeta(0),
+        lambda: Cyclotomic.root(0),
+        lambda: Cyclotomic(0, [1]),
+        lambda: ShapeOrbit(((2,), ()), 0),
+        lambda: ProjectiveElement(W, 0),
+    ],
+    ids=[
+        "enumerate_shapes",
+        "enumerate_orbits",
+        "InvolutionClassType",
+        "ConjugacyClass",
+        "class_of",
+        "subgroup_elements",
+        "zeta",
+        "Cyclotomic.root",
+        "Cyclotomic",
+        "ShapeOrbit",
+        "ProjectiveElement",
+    ],
+)
+def test_a_zero_order_raises_a_value_error(build):
+    with pytest.raises(ValueError):
+        build()
