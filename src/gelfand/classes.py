@@ -60,7 +60,9 @@ def label_color(alpha: Shape) -> int:
 def splits(alpha: Shape, p: int, n: int) -> bool:
     """Whether the G(r,n)-class with this label breaks in two inside
     G(r,p,n): needs GCD(p,n) = 2, every cycle of even length, every cycle
-    of even color."""
+    of even color.  p must divide r = len(alpha)."""
+    if p < 1 or len(alpha) % p != 0:
+        raise ValueError("p must divide r")
     if gcd(p, n) != 2:
         return False
     for i, comp in enumerate(alpha):

@@ -233,24 +233,21 @@ def _class_window(label):
     )
 
 
-def _orbit(perm0, pairs, fixed, offsets, half: int, r: int, q: int):
+def _orbit(perm0, pairs, fixed, offsets, half: int, r: int):
     """One orbit of <|g|, pi> as (descriptor part, placed offsets, parity).
 
     pairs lists pi's 2-cycles on the orbit and fixed its fixed points;
     offsets maps each position to its color less the orbit's start color.
     The descriptor part holds the offsets of the fixed points, the offsets
     at the smaller end of each 2-cycle (mod r/2 for an antisymmetric pi,
-    where half = r/2), the orbit's size and offset sum mod q, and whether
-    it holds position 0.  The parity counts the 2-cycles (a, b), a < b,
-    that |g| inverts.
+    where half = r/2), and whether it holds position 0.  The parity counts
+    the 2-cycles (a, b), a < b, that |g| inverts.
     """
     modulus = r // 2 if half else r
     return (
         (
             tuple(sorted(offsets[j] for j in fixed)),
             tuple(sorted(offsets[min(a, b)] % modulus for a, b in pairs)),
-            len(offsets) % q,
-            sum(offsets.values()) % q,
             0 in offsets,
         ),
         offsets,
@@ -258,7 +255,7 @@ def _orbit(perm0, pairs, fixed, offsets, half: int, r: int, q: int):
     )
 
 
-def _commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
+def _commuting_involutions(perm0, cycles, s: int, half: int, r: int):
     """Every involution pi commuting with the 0-based perm perm0, of the
     given cycles, whose colorings can be fixed up to the shift s, as its
     tuple of orbits (see _orbit).
@@ -278,7 +275,7 @@ def _commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
         return {j: (base + (k - start) * s) % r for k, j in enumerate(cycle)}
 
     def orbit(pairs, fixed, offsets):
-        return _orbit(perm0, pairs, fixed, offsets, half, r, q)
+        return _orbit(perm0, pairs, fixed, offsets, half, r)
 
     kept = []
     for cycle in cycles:
@@ -306,7 +303,7 @@ def _commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
         )
 
 
-def _perm_structures(perm0, cycles, r: int, p: int, q: int, twist: bool) -> list[tuple]:
+def _perm_structures(perm0, cycles, r: int, p: int, twist: bool) -> list[tuple]:
     """Every (pi, s) that can fix a basis coset under any g with perm
     perm0, of the given cycles, with what the sweep needs of it for each
     class of that perm.
@@ -328,7 +325,7 @@ def _perm_structures(perm0, cycles, r: int, p: int, q: int, twist: bool) -> list
             continue
         for s in shifts:
             extra = s if kind == "asym" and twist else 0
-            for orbits in _commuting_involutions(perm0, cycles, s, half, r, q):
+            for orbits in _commuting_involutions(perm0, cycles, s, half, r):
                 where = {}
                 for o, (_, offsets, _) in enumerate(orbits):
                     for j, offset in offsets.items():
@@ -338,6 +335,15 @@ def _perm_structures(perm0, cycles, r: int, p: int, q: int, twist: bool) -> list
                 parts = tuple(part for part, _, _ in orbits)
                 out.append((kind, parts, where, sign, extra))
     return out
+
+
+def _raw_color_sum(r: int, fixed, pair, twist) -> int:
+    """The color sum mod r of a raw type's involutions: a fixed point adds
+    its color i, a symmetric 2-cycle 2i, and an antisymmetric one
+    z + (z + r/2), with z its color at the smaller end mod r/2."""
+    if twist is None:
+        return sum(i * (f + 2 * g) for i, (f, g) in enumerate(zip(fixed, pair))) % r
+    return sum((2 * z + r // 2) * t for z, t in enumerate(twist)) % r
 
 
 class _Sweep:
@@ -350,46 +356,34 @@ class _Sweep:
     offset, both mod r.  A fixed coloring gives the orbit one start color
     c, below r/p on the orbit that holds position 0 (the least lift) and
     free otherwise; its fixed points and 2-cycles then take the colors
-    c + offset, its colors sum to size*c + offset sum, and it adds c*S + T
-    to the exponent.  The states of a run of orbits map each packed raw
-    type (its fixed-point and 2-cycle color counts, one base n+1 digit
-    each) to its counts by (color sum mod q, exponent mod r), flattened;
-    a signature's histogram keeps the color sums 0 mod q.
+    c + offset, and it adds c*S + T to the exponent.  The states of a run
+    of orbits map each packed raw type (its fixed-point and 2-cycle color
+    counts, one base n+1 digit each) to its counts by exponent mod r.  A
+    raw type fixes its color sum, so block applies the basis group's
+    condition, color sum 0 mod q, once per raw type.
     """
 
     def __init__(self, r: int, p: int, q: int, n: int) -> None:
         self.r, self.p, self.q = r, p, q
         self.radix = n + 1
         self.moves: dict[tuple, list] = {}
-        self.shifters: dict[tuple[int, int], itemgetter] = {}
-        self.states: dict[tuple, dict] = {(): {0: (1,) + (0,) * (q * r - 1)}}
+        # itemgetter returns a bare item, not a 1-tuple, for one index
+        self.rotations = [
+            itemgetter(*[(e - d) % r for e in range(r)]) if r > 1 else tuple
+            for d in range(r)
+        ]
+        self.states: dict[tuple, dict] = {(): {0: (1,) + (0,) * (r - 1)}}
         self.histograms: dict[tuple, list] = {}
-        self.blocks: dict[tuple, int] = {}
+        self.blocks: dict[tuple, int | None] = {}
         self.numbers: dict[InvolutionClassType, int] = {}
 
-    def _shifter(self, dsum: int, dexp: int):
-        """The map from flattened counts to the counts with dsum added to
-        every color sum and dexp to every exponent."""
-        shifter = self.shifters.get((dsum, dexp))
-        if shifter is None:
-            q, r = self.q, self.r
-            sources = [
-                (color_sum - dsum) % q * r + (exponent - dexp) % r
-                for color_sum in range(q)
-                for exponent in range(r)
-            ]
-            # itemgetter returns a bare item, not a 1-tuple, for one index
-            shifter = itemgetter(*sources) if len(sources) > 1 else tuple
-            self.shifters[(dsum, dexp)] = shifter
-        return shifter
-
     def _moves(self, kind, descriptor) -> list[tuple[int, itemgetter]]:
-        """(packed raw type, shifter) added by each start color."""
+        """(packed raw type, exponent rotation) added by each start color."""
         key = (kind, descriptor)
         moves = self.moves.get(key)
         if moves is None:
-            r, q, radix = self.r, self.q, self.radix
-            fixed, pairs, size, offset_sum, holds_zero, total, weighted = descriptor
+            r, radix = self.r, self.radix
+            fixed, pairs, holds_zero, total, weighted = descriptor
             if kind == "sym":
                 slot, base = r, r
             else:
@@ -398,7 +392,7 @@ class _Sweep:
                 (
                     sum(radix ** ((c + o) % r) for o in fixed)
                     + sum(radix ** (base + (c + o) % slot) for o in pairs),
-                    self._shifter((size * c + offset_sum) % q, (c * total + weighted) % r),
+                    self.rotations[(c * total + weighted) % r],
                 )
                 for c in range(r // self.p if holds_zero else r)
             ]
@@ -432,25 +426,23 @@ class _Sweep:
         key = (kind, signature)
         histogram = self.histograms.get(key)
         if histogram is None:
-            r = self.r
             merged: dict[int, tuple] = {}
             states = self._extend(kind, signature[0], self._states(kind, signature[1:]))
             for code, counts in states.items():
-                counts = counts[:r]
-                if any(counts):
-                    number = self.block(kind, code)
+                number = self.block(kind, code)
+                if number is not None:
                     old = merged.get(number)
                     merged[number] = counts if old is None else tuple(map(add, old, counts))
             histogram = self.histograms[key] = list(merged.items())
         return histogram
 
-    def block(self, kind, code) -> int:
+    def block(self, kind, code) -> int | None:
         """The number of the block of a packed raw type: its
         InvolutionClassType's number in self.numbers, in order of first
-        sight."""
+        sight, or None when its color sum is not 0 mod q, so that no basis
+        coset has it."""
         key = (kind, code)
-        number = self.blocks.get(key)
-        if number is None:
+        if key not in self.blocks:
             r = self.r
             digits = []
             for _ in range(2 * r if kind == "sym" else r // 2):
@@ -460,9 +452,12 @@ class _Sweep:
                 raw = (tuple(digits[:r]), tuple(digits[r:]), None)
             else:
                 raw = (None, None, tuple(digits))
-            ctype = InvolutionClassType(r, self.p, kind, *raw)
-            number = self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
-        return number
+            if _raw_color_sum(r, *raw) % self.q:
+                self.blocks[key] = None
+            else:
+                ctype = InvolutionClassType(r, self.p, kind, *raw)
+                self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
+        return self.blocks[key]
 
     def column(self, structures, nonzero) -> dict[int, list[int]]:
         """{block number: exponent histogram} of every block at one class,
@@ -521,7 +516,7 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
     columns = [None] * len(labels)
     for perm0, members in by_perm.items():
         cycles = windows[members[0]][1]
-        structures = _perm_structures(perm0, cycles, r, p, q, twist)
+        structures = _perm_structures(perm0, cycles, r, p, twist)
         for k in members:
             columns[k] = sweep.column(structures, windows[k][2])
     zero = [0] * r

@@ -161,9 +161,12 @@ def _orbits(items, maps, act) -> list[tuple]:
 def enumerate_orbits(r: int, n: int, p: int, q: int = 1) -> list[ShapeOrbit]:
     """All shift orbits on the shapes of Fer(r,n) with color divisible by q,
     in ShapeOrbit order: one orbit per representative under the shifts by
-    r/p, and one sort key per orbit."""
+    r/p, and one sort key per orbit.  q must divide r and pq must divide
+    rn: otherwise those shapes are not closed under the shifts."""
     if p < 1 or r % p != 0:
         raise ValueError("p must divide the number of components")
+    if q < 1 or r % q != 0 or r * n % (p * q) != 0:
+        raise ValueError("q must divide r and pq must divide rn")
     shapes = enumerate_shapes(r, n, q)
     reps = {rep for rep, _ in _orbits(shapes, range(0, r, r // p), shape_shift)}
     return sorted((ShapeOrbit(rep, p) for rep in reps), key=ShapeOrbit.sort_key)

@@ -93,7 +93,14 @@ def test_split_criterion():
     assert not splits(((2, 1, 1), ()), 2, 4)  # odd cycles
     assert not splits(((2,), (2,)), 2, 4)  # odd color in play
     assert not splits(((2, 2), ()), 1, 4)  # no quotient to split over
-    assert not splits(((3, 3), ()), 3, 6)  # GCD 3 unsupported shape
+    assert not splits(((3, 3), (), ()), 3, 6)  # GCD 3 unsupported shape
+
+
+@pytest.mark.parametrize("p", [0, -2, 3])
+def test_splits_rejects_a_p_that_does_not_divide_r(p):
+    # gcd(0, 2) == gcd(-2, 2) == 2, so these answered True
+    with pytest.raises(ValueError, match="p must divide r"):
+        splits(((2,), ()), p, 2)
 
 
 def test_split_classes_listed_twice_with_equal_sizes():

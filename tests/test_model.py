@@ -35,6 +35,9 @@ from gelfand.characters import (
 from gelfand.classes import (
     ConjugacyClass,
     InvolutionClassType,
+    _raw_type,
+    class_of,
+    class_positions,
     class_size,
     enumerate_classes,
     involution_type,
@@ -46,9 +49,11 @@ from gelfand.colored import (
     ProjectiveElement,
     absolute_conjugate,
     all_elements,
+    antisymmetric_elements,
     parse_window,
     projective_conjugate,
     subgroup_elements,
+    symmetric_elements,
 )
 from gelfand.cyclotomic import Cyclotomic
 from gelfand.errors import (
@@ -63,6 +68,7 @@ from gelfand.model import (
     _class_window,
     _commuting_involutions,
     _orbit,
+    _raw_color_sum,
     _type_histograms,
     a_statistic,
     gelfand_check,
@@ -74,7 +80,7 @@ from gelfand.model import (
     verify_class_decomposition,
 )
 from gelfand.rs import shape_of
-from gelfand.shapes import count_standard
+from gelfand.shapes import count_standard, shape_shift
 
 
 def test_pairing_hand_values():
@@ -586,7 +592,7 @@ SMALL_BASES = [
 PANEL_BASES = [(2, 1, 2, 6), (4, 1, 2, 4), (6, 1, 2, 3), (2, 1, 1, 7), (3, 1, 1, 5)]
 
 
-def _reference_commuting_involutions(perm0, cycles, s: int, half: int, r: int, q: int):
+def _reference_commuting_involutions(perm0, cycles, s: int, half: int, r: int):
     """_commuting_involutions by recursion over the cycles.  Verbatim the
     implementation before cycle_pairings."""
 
@@ -601,10 +607,10 @@ def _reference_commuting_involutions(perm0, cycles, s: int, half: int, r: int, q
         length = len(cycle)
         heads = []
         if not half:
-            heads.append((_orbit(perm0, (), cycle, walk(cycle), half, r, q), rest))
+            heads.append((_orbit(perm0, (), cycle, walk(cycle), half, r), rest))
         if length % 2 == 0 and length // 2 * s % r == half:
             turned = tuple(zip(cycle[: length // 2], cycle[length // 2 :]))
-            heads.append((_orbit(perm0, turned, (), walk(cycle), half, r, q), rest))
+            heads.append((_orbit(perm0, turned, (), walk(cycle), half, r), rest))
         for i, other in enumerate(rest):
             partner = cycles[other]
             if len(partner) != length:
@@ -617,7 +623,7 @@ def _reference_commuting_involutions(perm0, cycles, s: int, half: int, r: int, q
                 )
                 heads.append(
                     (
-                        _orbit(perm0, swapped, (), offsets, half, r, q),
+                        _orbit(perm0, swapped, (), offsets, half, r),
                         rest[:i] + rest[i + 1 :],
                     )
                 )
@@ -658,7 +664,7 @@ def test_commuting_involutions_match_recursion(flags):
         ]
         for half in (0, r // 2) if r % 2 == 0 else (0,):
             for s in shifts:
-                args = (perm0, cycles, s, half, r, p)
+                args = (perm0, cycles, s, half, r)
                 ours = _orbit_structures(_commuting_involutions(*args))
                 assert ours == _orbit_structures(_reference_commuting_involutions(*args)), args
 
@@ -683,6 +689,44 @@ def test_identity_column_gives_the_block_sizes(flags):
     sizes = _block_sizes(_type_histograms(r, q, p, n))
     assert tuple(sizes) == basis.types
     assert sizes == {ctype: len(basis.blocks[ctype]) for ctype in basis.types}
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_raw_color_sum_is_the_color_sum(r):
+    # an antisymmetric w is an absolute involution only in a quotient of
+    # even scalar order; n is even, so its coset's lifts share its color sum
+    for n in range(5):
+        elements = symmetric_elements(r, n) + [
+            ProjectiveElement(w, 2) for w in antisymmetric_elements(r, n)
+        ]
+        for w in elements:
+            *_, fixed, pair, twist = _raw_type(w)
+            assert _raw_color_sum(r, fixed, pair, twist) == w.rep.color_sum(), w
+
+
+# acting groups; the first three have antisymmetric blocks
+CENTRAL_GROUPS = [(4, 2, 1, 4), (4, 2, 2, 4), (2, 2, 1, 6), (4, 1, 2, 4), (6, 1, 3, 3)]
+
+
+@pytest.mark.parametrize("group", CENTRAL_GROUPS, ids=_flags_id)
+def test_central_scalar_rotates_each_block_by_its_color_sum(group):
+    # zeta^t*I acts on the block M(c) by zeta^(t*e(c)), e(c) the color sum
+    # of c's involutions: |zeta^t*I| is the identity, so the sign and the
+    # transfer statistic vanish and only the pairing t*e(c) is left
+    r, p, q, n = group
+    positions = class_positions(r, p, n)
+    images = []
+    for t in range(r):
+        if t * n % p == 0:
+            scalar = ColoredPermutation.scalar(r, n, t)
+            for k, label in enumerate(enumerate_classes(r, p, n)):
+                images.append((t, k, positions[class_of(scalar * normal_element(label), p)]))
+    for twist in (True, False):
+        for ctype, columns in _type_histograms(r, p, q, n, twist).items():
+            e = _raw_color_sum(r, ctype.fixed, ctype.pair, ctype.twist)
+            for t, k, image in images:
+                rotated = shape_shift(tuple(columns[k]), t * e)
+                assert tuple(columns[image]) == rotated, (twist, ctype, t, k)
 
 
 def _involution_count(r, n):

@@ -237,7 +237,7 @@ ORBIT_PANEL = [
     (4, 4, 4, 1),
     (4, 4, 2, 2),
     (6, 2, 2, 1),
-    (6, 3, 6, 2),
+    (6, 4, 6, 2),
     (6, 3, 3, 2),
 ]
 
@@ -247,6 +247,14 @@ def test_enumerate_orbits_rejects_a_p_that_does_not_divide_r(p):
     # checked before r // p makes the shifts, so no p fails silently
     with pytest.raises(ValueError, match="p must divide the number of components"):
         enumerate_orbits(4, 2, p)
+
+
+@pytest.mark.parametrize("r,n,p,q", [(4, 2, 2, 3), (6, 3, 6, 2)])
+def test_enumerate_orbits_rejects_a_q_outside_the_group(r, n, p, q):
+    # 3 does not divide 4, and 6*2 does not divide 6*3: the shifts by r/p
+    # would carry a kept shape to one whose color q does not divide
+    with pytest.raises(ValueError, match="q must divide r and pq must divide rn"):
+        enumerate_orbits(r, n, p, q)
 
 
 @pytest.mark.parametrize("r,n,p,q", ORBIT_PANEL)
