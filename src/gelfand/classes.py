@@ -236,6 +236,8 @@ class InvolutionClassType(Value):
     __slots__ = ("r", "shift_order", "kind", "fixed", "pair", "twist")
 
     def __init__(self, r, shift_order, kind, fixed=None, pair=None, twist=None):
+        if r < 1:
+            raise ValueError("r must be a positive integer")
         if shift_order < 1 or r % shift_order != 0:
             raise ValueError("shift order must divide the color order")
         step = r // shift_order

@@ -402,8 +402,15 @@ def projective_conjugate(
 # -- enumeration helpers -------------------------------------------------------
 
 
+def _check_size(r: int, n: int) -> None:
+    """Refuse r < 1 and n < 0; n = 0 is the group of the empty window."""
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+
+
 def all_elements(r: int, n: int):
     """Iterate over all of G(r,n) in a deterministic order."""
+    _check_size(r, n)
     for perm in permutations(range(1, n + 1)):
         for colors in product(range(r), repeat=n):
             yield ColoredPermutation(r, perm, colors)
@@ -474,6 +481,7 @@ def symmetric_elements(r: int, n: int):
     These are exactly the absolute involutions of G(r,n).  The list comes
     back sorted.
     """
+    _check_size(r, n)
     return _involutions(r, n, 0)
 
 
@@ -483,6 +491,7 @@ def antisymmetric_elements(r: int, n: int):
     Empty unless r is even and n is even; every cycle is a 2-cycle whose
     colors differ by r/2.  The list comes back sorted.
     """
+    _check_size(r, n)
     if r % 2 != 0 or n % 2 != 0:
         return []
     return _involutions(r, n, r // 2)

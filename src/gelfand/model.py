@@ -56,7 +56,6 @@ from .colored import (
 from .cyclotomic import Cyclotomic, _HistogramValues
 from .errors import ENUMERATION_GUARD, InconsistencyError
 from .immutable import Immutable
-from .shapes import shape_shift
 
 
 def pairing(g, v) -> int:
@@ -238,10 +237,11 @@ def _orbit(perm0, pairs, fixed, offsets, half: int, r: int):
 
     pairs lists pi's 2-cycles on the orbit and fixed its fixed points;
     offsets maps each position to its color less the orbit's start color.
-    The descriptor part holds the offsets of the fixed points, the offsets
-    at the smaller end of each 2-cycle (mod r/2 for an antisymmetric pi,
-    where half = r/2), and whether it holds position 0.  The parity counts
-    the 2-cycles (a, b), a < b, that |g| inverts.
+    The descriptor part, a whole descriptor (see _Sweep) less S and T,
+    holds the fixed points' offsets, the offsets at the smaller end of
+    each 2-cycle (mod r/2 for an antisymmetric pi, where half = r/2) and
+    whether it holds position 0.  The parity counts the 2-cycles (a, b),
+    a < b, that |g| inverts.
     """
     modulus = r // 2 if half else r
     return (
@@ -310,10 +310,10 @@ def _perm_structures(perm0, cycles, r: int, p: int, twist: bool) -> list[tuple]:
 
     s runs over the multiples of r/p that close every cycle of perm0, and
     antisymmetric pi occur only when p is even.  Each entry holds the kind,
-    the descriptor parts, the map from a position to its (orbit, offset),
-    the sign (-1)^parity of a symmetric pi, and the exponent added to every
-    fixed point: s for an antisymmetric pi under the twist, whose transfer
-    statistic reads positions 0 and |g|^{-1}(0) on one |g|-cycle.
+    the whole descriptors (see _Sweep), the map from a position to its
+    (orbit, offset), and the sign (-1)^parity of a symmetric pi.  S is 0;
+    T is s on the orbit holding position 0 of a twisted antisymmetric pi,
+    whose transfer statistic is s, and 0 elsewhere.
     """
     lengths = {len(cycle) for cycle in cycles}
     shifts = [
@@ -324,16 +324,17 @@ def _perm_structures(perm0, cycles, r: int, p: int, twist: bool) -> list[tuple]:
         if kind == "asym" and p % 2:
             continue
         for s in shifts:
-            extra = s if kind == "asym" and twist else 0
+            transfer = s if kind == "asym" and twist else 0
             for orbits in _commuting_involutions(perm0, cycles, s, half, r):
                 where = {}
-                for o, (_, offsets, _) in enumerate(orbits):
+                descriptors = []
+                for o, (part, offsets, _) in enumerate(orbits):
+                    descriptors.append(part + (0, transfer if part[2] else 0))
                     for j, offset in offsets.items():
                         where[j] = (o, offset)
                 inverted = sum(parity for _, _, parity in orbits) % 2
                 sign = -1 if kind == "sym" and inverted else 1
-                parts = tuple(part for part, _, _ in orbits)
-                out.append((kind, parts, where, sign, extra))
+                out.append((kind, tuple(descriptors), where, sign))
     return out
 
 
@@ -351,16 +352,18 @@ class _Sweep:
     histogram, the states of the signature suffixes they are built from,
     and the raw type -> block map.
 
-    A descriptor is an orbit's descriptor part (see _orbit) followed by
-    S = sum of g's colors on the orbit and T = sum of each color times its
-    offset, both mod r.  A fixed coloring gives the orbit one start color
-    c, below r/p on the orbit that holds position 0 (the least lift) and
-    free otherwise; its fixed points and 2-cycles then take the colors
-    c + offset, and it adds c*S + T to the exponent.  The states of a run
-    of orbits map each packed raw type (its fixed-point and 2-cycle color
-    counts, one base n+1 digit each) to its counts by exponent mod r.  A
-    raw type fixes its color sum, so block applies the basis group's
-    condition, color sum 0 mod q, once per raw type.
+    A descriptor is an orbit's descriptor part (see _orbit) followed by S =
+    sum of g's colors on the orbit and T = sum of each color times its
+    offset, both mod r, plus the twist's shift in T on the orbit that holds
+    position 0.  The structures carry it whole, and a class rewrites only
+    the orbits its nonzero colors touch.  A fixed coloring gives the orbit
+    one start color c, below r/p on the orbit that holds position 0 (the
+    least lift) and free otherwise; its fixed points and 2-cycles then take
+    the colors c + offset, and it adds c*S + T to the exponent.  The states
+    of a run of orbits map each packed raw type (its fixed-point and
+    2-cycle color counts, one base n+1 digit each) to its counts by
+    exponent mod r.  A raw type fixes its color sum, so block applies the
+    basis group's condition, color sum 0 mod q, once per raw type.
     """
 
     def __init__(self, r: int, p: int, q: int, n: int) -> None:
@@ -464,25 +467,20 @@ class _Sweep:
         from the structures of its perm and its nonzero colors."""
         r = self.r
         weights: dict[tuple, int] = {}
-        for kind, parts, where, sign, extra in structures:
-            descriptors = [part + (0, 0) for part in parts]
-            touched = {}
+        for kind, descriptors, where, sign in structures:
+            descriptors = list(descriptors)
             for j, z in nonzero:
                 o, offset = where[j]
-                total, weighted = touched.get(o, (0, 0))
-                touched[o] = (total + z, weighted + z * offset)
-            for o, (total, weighted) in touched.items():
-                descriptors[o] = parts[o] + (total % r, weighted % r)
-            key = (kind, tuple(sorted(descriptors)), extra)
+                *part, total, weighted = descriptors[o]
+                descriptors[o] = (*part, (total + z) % r, (weighted + z * offset) % r)
+            key = (kind, tuple(sorted(descriptors)))
             weights[key] = weights.get(key, 0) + sign
         column: dict[int, list[int]] = {}
         zero = (0,) * r
-        for (kind, signature, extra), weight in weights.items():
+        for (kind, signature), weight in weights.items():
             if not weight:
                 continue
             for number, counts in self.histogram(kind, signature):
-                # the exponent e moves to e + extra
-                counts = shape_shift(counts, extra)
                 if weight != 1:
                     counts = [weight * count for count in counts]
                 column[number] = list(map(add, column.get(number, zero), counts))

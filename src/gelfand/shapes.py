@@ -15,7 +15,7 @@ from itertools import product
 from math import factorial
 from operator import neg
 
-from .errors import InconsistencyError, ResourceLimitError
+from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
 from .immutable import Value
 
 Shape = tuple  # tuple of partitions, each a weakly decreasing tuple of ints
@@ -241,7 +241,7 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
     Each filling is a tuple of components, a component being a tuple of row
     tuples.  The entries are placed in order, each at the end of a row
     shorter than both its target length and the row above it.  Guarded to
-    n <= 12.
+    n <= 12 and to at most ENUMERATION_GUARD fillings.
     """
     validate_shape(shape)
     n = shape_size(shape)
@@ -249,6 +249,12 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
         raise ResourceLimitError(
             "standard filling enumeration is limited to %d boxes (asked for %d)"
             % (STANDARD_ENUMERATION_LIMIT, n)
+        )
+    count = count_standard(shape)
+    if count > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            "standard filling enumeration would build %d fillings (limit %d)"
+            % (count, ENUMERATION_GUARD)
         )
 
     rows = [[[] for _ in comp] for comp in shape]

@@ -11,16 +11,16 @@ trace identity; the command line does not.
 
 from __future__ import annotations
 
-from .classes import ConjugacyClass
-from .colored import (
+from gelfand.classes import ConjugacyClass
+from gelfand.colored import (
     ColoredPermutation,
     absolute_conjugate,
     antisymmetric_elements,
     cycle_pairings,
 )
-from .cyclotomic import Cyclotomic
-from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
-from .model import ModelBasis, model_character
+from gelfand.cyclotomic import Cyclotomic
+from gelfand.errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
+from gelfand.model import ModelBasis, model_character
 
 
 def pi21_partitions(g: ColoredPermutation):

@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from gelfand.antisymmetric import (
+from antisymmetric_oracle import (
     a_sets,
     halfway_difference,
     part_color,

@@ -747,6 +747,7 @@ def test_reader_closing_mid_document_exits_141():
     head = proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
     assert head.startswith(b'{\n  "schema": 1,\n  "group": {')

@@ -1,8 +1,9 @@
-"""Static hygiene checks, standard library only: no module of the
-package imports a name it never uses, no function of it takes a
-parameter it never reads (dunder methods aside), no private top-level
-function or class goes unreferenced, every name the package exports
-resolves and README.md names it, exact values keep one representation
+"""Static hygiene checks, standard library only: no module of the package
+imports a name it never uses, no function of it takes a parameter it
+never reads (dunder methods aside), no private top-level function or
+class goes unreferenced, every name the package exports resolves and
+README.md names it, no module of it is imported by the tests alone,
+README.md has one row per module, exact values keep one representation
 behind one module, value types keep one identity (==, hash, <), one
 component shift and one affine color map, elements and cosets share one
 interface with no type test outside colored.py, and the command line
@@ -11,6 +12,7 @@ JSON in one writer and exchanges the basis flags --p and --q in one
 helper."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +87,34 @@ def test_readme_documents_every_public_name():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     undocumented = [name for name in gelfand.__all__ if "`%s`" % name not in readme]
     assert not undocumented, "README.md never names %s" % undocumented
+
+
+def package_imports(tree):
+    """The package modules a tree imports, all imports being relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_of_the_package_is_test_only():
+    """Every module but __init__ and cli is imported by another module of
+    the package or defines a public name: a module that only the tests
+    import belongs under tests/."""
+    imported = {
+        module
+        for path in Path(gelfand.__file__).parent.glob("*.py")
+        for module in package_imports(ast.parse(path.read_text(), filename=str(path)))
+        if module != path.stem
+    }
+    used = imported | set(gelfand._EXPORTS.values()) | {"cli"}
+    unused = [path.name for path in SOURCES if path.stem not in used]
+    assert not unused, "modules only the tests import: %s" % unused
+
+
+def test_readme_has_one_module_row_per_module():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `gelfand\.(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(path.stem for path in SOURCES)
 
 
 def unread_parameters(tree):

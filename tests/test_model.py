@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import gelfand.characters
 import gelfand.classes
 import gelfand.model
-from gelfand.antisymmetric import (
+from antisymmetric_oracle import (
     a_sets,
     halfway_difference,
     part_color,

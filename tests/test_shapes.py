@@ -2,6 +2,7 @@
 formula results are cross-checked against explicit enumeration, and the
 enumeration against an independent recursion over row profiles."""
 
+import time
 from itertools import product
 from math import gcd
 
@@ -85,6 +86,18 @@ def test_multicomponent_standard_count():
 def test_enumerate_standard_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_standard((tuple([1] * 13),))
+
+
+@pytest.mark.parametrize(
+    "shape, count", [(((1,),) * 12, 479_001_600), (((2, 1),) * 4, 5_913_600)]
+)
+def test_enumerate_standard_refuses_by_the_fillings_it_would_build(shape, count):
+    # both fit the 12-box cap; the count of fillings refuses them at once
+    assert count_standard(shape) == count
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="would build %d fillings" % count):
+        enumerate_standard(shape)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_shape_enumeration_and_mass():

@@ -25,7 +25,14 @@ from gelfand.classes import (
     enumerate_classes,
     enumerate_involution_classes,
 )
-from gelfand.colored import ColoredPermutation, ProjectiveElement, subgroup_elements
+from gelfand.colored import (
+    ColoredPermutation,
+    ProjectiveElement,
+    all_elements,
+    antisymmetric_elements,
+    subgroup_elements,
+    symmetric_elements,
+)
 from gelfand.cyclotomic import Cyclotomic, zeta
 from gelfand.shapes import ShapeOrbit, enumerate_orbits, enumerate_shapes, shape_key
 
@@ -263,3 +270,40 @@ W = ColoredPermutation(2, (2, 1), (0, 1))
 def test_a_zero_order_raises_a_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: symmetric_elements(2, -1), "need r >= 1 and n >= 0"),
+        (lambda: antisymmetric_elements(2, -2), "need r >= 1 and n >= 0"),
+        (lambda: symmetric_elements(0, 2), "need r >= 1 and n >= 0"),
+        (lambda: list(all_elements(0, 1)), "need r >= 1 and n >= 0"),
+        (lambda: list(all_elements(2, -1)), "need r >= 1 and n >= 0"),
+        (
+            lambda: InvolutionClassType(0, 1, "sym", (), ()),
+            "r must be a positive integer",
+        ),
+    ],
+    ids=[
+        "symmetric_elements-n",
+        "antisymmetric_elements-n",
+        "symmetric_elements-r",
+        "all_elements-r",
+        "all_elements-n",
+        "InvolutionClassType-r",
+    ],
+)
+def test_an_invalid_size_raises_a_value_error(build, message):
+    # r < 1 or n < 0 is refused by name, not by a leaked message or an
+    # empty or one-element answer
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_size_zero_is_the_group_of_the_empty_window():
+    empty = ColoredPermutation(2, (), ())
+    assert symmetric_elements(2, 0) == [empty]
+    assert antisymmetric_elements(2, 0) == [empty]
+    assert list(all_elements(2, 0)) == [empty]
