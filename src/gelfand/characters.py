@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .classes import (
     ConjugacyClass,
@@ -60,7 +60,7 @@ from .classes import (
     label_color,
 )
 from .colored import check_supported_group, group_order
-from .cyclotomic import Cyclotomic, _HistogramValues
+from .cyclotomic import Cyclotomic, _HistogramValues, _exponent_map
 from .errors import InconsistencyError
 from .immutable import Immutable, Value
 from .shapes import (
@@ -318,10 +318,7 @@ def _table_columns(lams, alphas):
     # unit 1/v, rotated by s: entry e of it is entry v*(e - s) of the walked one
     moves = [(pow(u, -1, r), s) for u in units for s in range(r)]
     slot = {key: i for i, key in enumerate(moves)}
-    getters = []
-    for v, s in moves:
-        entries = [v * (e - s) % r for e in range(r)]
-        getters.append(tuple if entries == list(range(r)) else itemgetter(*entries))
+    getters = [_exponent_map(r, v, s) for v, s in moves]
     rotations = _orbits(lams, range(r), shape_shift)
     reps = list(dict.fromkeys(rep for rep, _ in rotations))
     index = {rep: i * len(moves) for i, rep in enumerate(reps)}

@@ -58,11 +58,13 @@ class ColoredPermutation(Value):
 
     @staticmethod
     def identity(r: int, n: int) -> "ColoredPermutation":
+        _check_size(r, n)
         return ColoredPermutation(r, range(1, n + 1), [0] * n)
 
     @staticmethod
     def scalar(r: int, n: int, k: int) -> "ColoredPermutation":
         """The scalar matrix zeta_r^k * Id."""
+        _check_size(r, n)
         return ColoredPermutation(r, range(1, n + 1), [k] * n)
 
     @staticmethod

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import InconsistencyError
 from .immutable import Immutable
@@ -343,6 +344,14 @@ class Cyclotomic(Immutable):
         for k, c in enumerate(self.coeffs):
             total += float(c) * z**k
         return total
+
+
+def _exponent_map(r: int, v: int = 1, s: int = 0):
+    """The map of exponent histograms mod r whose entry e is entry
+    v*(e - s) of its argument: tuple for the identity."""
+    entries = [v * (e - s) % r for e in range(r)]
+    # itemgetter returns a bare item, not a 1-tuple, for one index
+    return tuple if entries == list(range(r)) else itemgetter(*entries)
 
 
 class _HistogramValues(dict):

@@ -19,7 +19,8 @@ cycle_pairings of its cycle lengths: each cycle is kept or swapped with
 another of its length.  It describes each orbit by a descriptor and each
 (pi, s) by the sorted tuple of them, its signature, and computes the
 per-block exponent histogram of each distinct signature once per run, by
-a dynamic programme over the orbits.  The drivers take the block types
+a dynamic programme over the orbits, adding it into every class that
+uses it before building the next.  The drivers take the block types
 and sizes from the identity column, where each block's trace is its
 size.  model_character sums the swept block characters over a scope of
 a ModelBasis.
@@ -53,7 +54,7 @@ from .colored import (
     cycle_pairings,
     projective_conjugate,
 )
-from .cyclotomic import Cyclotomic, _HistogramValues
+from .cyclotomic import Cyclotomic, _HistogramValues, _exponent_map
 from .errors import ENUMERATION_GUARD, InconsistencyError
 from .immutable import Immutable
 
@@ -348,9 +349,9 @@ def _raw_color_sum(r: int, fixed, pair, twist) -> int:
 
 
 class _Sweep:
-    """The per-run state of the block sweep of G(r,p,q,n): each signature's
-    histogram, the states of the signature suffixes they are built from,
-    and the raw type -> block map.
+    """The per-run state of the block sweep of G(r,p,q,n): the states of
+    the signature suffixes that the histograms are built from, and the raw
+    type -> block map; no histogram is kept.
 
     A descriptor is an orbit's descriptor part (see _orbit) followed by S =
     sum of g's colors on the orbit and T = sum of each color times its
@@ -370,13 +371,8 @@ class _Sweep:
         self.r, self.p, self.q = r, p, q
         self.radix = n + 1
         self.moves: dict[tuple, list] = {}
-        # itemgetter returns a bare item, not a 1-tuple, for one index
-        self.rotations = [
-            itemgetter(*[(e - d) % r for e in range(r)]) if r > 1 else tuple
-            for d in range(r)
-        ]
+        self.rotations = [_exponent_map(r, 1, d) for d in range(r)]
         self.states: dict[tuple, dict] = {(): {0: (1,) + (0,) * (r - 1)}}
-        self.histograms: dict[tuple, list] = {}
         self.blocks: dict[tuple, int | None] = {}
         self.numbers: dict[InvolutionClassType, int] = {}
 
@@ -422,21 +418,18 @@ class _Sweep:
             )
         return states
 
-    def histogram(self, kind, signature) -> list[tuple[int, tuple[int, ...]]]:
-        """(block number, exponent histogram) for every block met by the
-        colorings that one (pi, s) with this signature fixes.  A whole
-        signature is no suffix of another, so its states are not kept."""
-        key = (kind, signature)
-        histogram = self.histograms.get(key)
-        if histogram is None:
-            merged: dict[int, tuple] = {}
-            states = self._extend(kind, signature[0], self._states(kind, signature[1:]))
-            for code, counts in states.items():
-                number = self.block(kind, code)
-                if number is not None:
-                    old = merged.get(number)
-                    merged[number] = counts if old is None else tuple(map(add, old, counts))
-            histogram = self.histograms[key] = list(merged.items())
+    def histogram(self, kind, signature) -> dict[int, tuple[int, ...]]:
+        """{block number: exponent histogram} for every block met by the
+        colorings that one (pi, s) with this signature fixes.  Nothing is
+        kept: a whole signature is no suffix of another, and the driver
+        asks for each signature once."""
+        histogram: dict[int, tuple] = {}
+        states = self._extend(kind, signature[0], self._states(kind, signature[1:]))
+        for code, counts in states.items():
+            number = self.block(kind, code)
+            if number is not None:
+                old = histogram.get(number)
+                histogram[number] = counts if old is None else tuple(map(add, old, counts))
         return histogram
 
     def block(self, kind, code) -> int | None:
@@ -462,8 +455,8 @@ class _Sweep:
                 self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
         return self.blocks[key]
 
-    def column(self, structures, nonzero) -> dict[int, list[int]]:
-        """{block number: exponent histogram} of every block at one class,
+    def weights(self, structures, nonzero) -> dict[tuple, int]:
+        """{(kind, signature): signed count of its (pi, s)} at one class,
         from the structures of its perm and its nonzero colors."""
         r = self.r
         weights: dict[tuple, int] = {}
@@ -475,16 +468,7 @@ class _Sweep:
                 descriptors[o] = (*part, (total + z) % r, (weighted + z * offset) % r)
             key = (kind, tuple(sorted(descriptors)))
             weights[key] = weights.get(key, 0) + sign
-        column: dict[int, list[int]] = {}
-        zero = (0,) * r
-        for (kind, signature), weight in weights.items():
-            if not weight:
-                continue
-            for number, counts in self.histogram(kind, signature):
-                if weight != 1:
-                    counts = [weight * count for count in counts]
-                column[number] = list(map(add, column.get(number, zero), counts))
-        return column
+        return weights
 
 
 def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
@@ -495,10 +479,12 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
     conjugation shifts v's colors by one multiple s of r/p; its scalar is
     then the signed pairing, plus s when v is antisymmetric and twisted.
     The fixed colorings of one (pi, s) depend only on the signature of the
-    orbits of <|g|, pi> (see _Sweep), so each signature's histogram is
-    computed once per run, and each class adds up its (pi, s) by
-    signature.  The (pi, s) depend only on |g|: they are built once per
-    perm and dropped when its classes are done.
+    orbits of <|g|, pi> (see _Sweep), so the sweep makes two passes.  The
+    first weighs each class's (pi, s) by signature and records which
+    classes use each signature; the (pi, s) depend only on |g|, so they
+    are built once per perm and dropped when its classes are done.  The
+    second builds each signature's histogram once, adds it, times its
+    weight, into every class that uses it, and drops it.
     """
     labels = enumerate_classes(r, p, n)
     windows = [_class_window(label) for label in labels]
@@ -511,13 +497,24 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
     for k, (perm0, *_) in enumerate(windows):
         by_perm.setdefault(perm0, []).append(k)
     sweep = _Sweep(r, p, q, n)
-    columns = [None] * len(labels)
+    uses: dict[tuple, list[tuple[int, int]]] = {}
     for perm0, members in by_perm.items():
         cycles = windows[members[0]][1]
         structures = _perm_structures(perm0, cycles, r, p, twist)
         for k in members:
-            columns[k] = sweep.column(structures, windows[k][2])
+            for key, weight in sweep.weights(structures, windows[k][2]).items():
+                if weight:
+                    uses.setdefault(key, []).append((k, weight))
+    columns: list[dict[int, list[int]]] = [{} for _ in labels]
     zero = [0] * r
+    for (kind, signature), users in uses.items():
+        histogram = sweep.histogram(kind, signature)
+        for k, weight in users:
+            column = columns[k]
+            for number, counts in histogram.items():
+                if weight != 1:
+                    counts = [weight * count for count in counts]
+                column[number] = list(map(add, column.get(number, zero), counts))
     return {
         ctype: [column.get(number, zero) for column in columns]
         for ctype, number in sorted(sweep.numbers.items())

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gelfand.characters import character_table
 from gelfand.cyclotomic import (
     Cyclotomic,
+    _exponent_map,
     cyclotomic_polynomial,
     euler_phi,
     zeta,
@@ -555,3 +556,14 @@ def test_str_renders_numerators_over_one_denominator_as_the_oracle(order, nums, 
     value = Cyclotomic(order, nums, den)
     oracle = _FractionCyclotomic(order, [Fraction(x, den) for x in nums])
     assert str(value) == str(oracle)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_exponent_map_matches_its_definition(r):
+    histogram = tuple(range(10, 10 + r))
+    assert _exponent_map(r) is tuple
+    for v in range(1, r + 1):
+        if gcd(v, r) == 1:
+            for s in range(r):
+                expected = tuple(histogram[v * (e - s) % r] for e in range(r))
+                assert _exponent_map(r, v, s)(histogram) == expected, (v, s)

@@ -3,12 +3,15 @@ a genuine homomorphism, block structure, character verification against
 the object-level trace loop, the former window loop and the projection
 path, and the antisymmetric cycle-pairing machinery."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
 from operator import itemgetter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -680,6 +683,53 @@ def test_signature_sweep_matches_bucket_sweep(flags, monkeypatch):
         for scopes in (basis.types, ("M0", "M1"), ("all",)):
             ours = [model_character(basis, scope, twist) for scope in scopes]
             assert ours == _bucket_block_characters(basis, scopes, twist), (scopes, twist)
+
+
+# every supported acting group with r <= 12 and r^n*n! <= 2000
+SWEEP_GROUPS = [
+    (r, p, q, n)
+    for r in range(1, 13)
+    for n in range(1, 12)
+    if r**n * factorial(n) <= 2000
+    for p in range(1, r + 1)
+    for q in range(1, r + 1)
+    if r % p == 0 and r % q == 0 and r * n % (p * q) == 0 and gcd(p, n) <= 2
+]
+
+
+def _sweep_digest(r, p, q, n, twist):
+    """sha256 of _type_histograms' output as text, in output order."""
+    histograms = _type_histograms(r, p, q, n, twist)
+    text = repr([(str(ctype), [list(h) for h in columns]) for ctype, columns in histograms.items()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_matches_recorded_digests():
+    # sweep_digests.json was recorded at 98f33ca, before the sweep went
+    # signature-major; the keys are "r p q n twist"
+    recorded = json.loads(Path(__file__).with_name("sweep_digests.json").read_text())
+    ours = {
+        "%d %d %d %d %s" % (*group, twist): _sweep_digest(*group, twist)
+        for group in SWEEP_GROUPS
+        for twist in (True, False)
+    }
+    assert ours == recorded
+
+
+@pytest.mark.parametrize("group", [(3, 1, 1, 4), (2, 2, 1, 6), (4, 2, 1, 4)], ids=_flags_id)
+def test_each_signature_histogram_is_built_once(group, monkeypatch):
+    calls = Counter()
+    histogram = gelfand.model._Sweep.histogram
+
+    def counted(self, kind, signature):
+        calls[kind, signature] += 1
+        return histogram(self, kind, signature)
+
+    monkeypatch.setattr(gelfand.model._Sweep, "histogram", counted)
+    for twist in (True, False):
+        calls.clear()
+        _type_histograms(*group, twist)
+        assert max(calls.values()) == 1, twist
 
 
 @pytest.mark.parametrize("flags", DIFFERENTIAL_BASES + PANEL_BASES, ids=_flags_id)

@@ -280,6 +280,8 @@ def test_a_zero_order_raises_a_value_error(build):
         (lambda: symmetric_elements(0, 2), "need r >= 1 and n >= 0"),
         (lambda: list(all_elements(0, 1)), "need r >= 1 and n >= 0"),
         (lambda: list(all_elements(2, -1)), "need r >= 1 and n >= 0"),
+        (lambda: ColoredPermutation.identity(2, -1), "need r >= 1 and n >= 0"),
+        (lambda: ColoredPermutation.scalar(2, -1, 1), "need r >= 1 and n >= 0"),
         (
             lambda: InvolutionClassType(0, 1, "sym", (), ()),
             "r must be a positive integer",
@@ -291,6 +293,8 @@ def test_a_zero_order_raises_a_value_error(build):
         "symmetric_elements-r",
         "all_elements-r",
         "all_elements-n",
+        "identity-n",
+        "scalar-n",
         "InvolutionClassType-r",
     ],
 )
@@ -307,3 +311,5 @@ def test_size_zero_is_the_group_of_the_empty_window():
     assert symmetric_elements(2, 0) == [empty]
     assert antisymmetric_elements(2, 0) == [empty]
     assert list(all_elements(2, 0)) == [empty]
+    assert ColoredPermutation.identity(2, 0) == empty
+    assert ColoredPermutation.scalar(2, 0, 1) == empty
