@@ -165,7 +165,8 @@ def wreath_character(lam: Shape, alpha) -> Cyclotomic:
         raise ValueError("label and class need the same number of colors")
     if shape_size(lam) != shape_size(alpha):
         raise ValueError("label and class sizes differ")
-    return Cyclotomic(len(lam), _wreath_histograms([lam], _cycles(alpha))[0])
+    histogram = _wreath_histograms([lam], _cycles(alpha))[0]
+    return Cyclotomic._from_histogram(len(lam), histogram, 1)
 
 
 def _halved_class(alpha: Shape) -> tuple[Shape, int]:
@@ -463,7 +464,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
                 for j, y in enumerate(other.nums):
                     if y:
                         acc[(i - j) % m] += x * y
-    return Cyclotomic(m, acc, den * order)
+    return Cyclotomic._from_histogram(m, acc, den * order)
 
 
 def _reassembles(f: ClassFunction, terms) -> bool:

@@ -3,8 +3,10 @@
 Elements are stored in the power basis 1, z, ..., z^(phi(r)-1) of
 Q[x]/(Phi_r(x)) as integer numerators over one positive denominator, in
 lowest terms, where Phi_r is the r-th cyclotomic polynomial computed by
-exact recursive division of x^r - 1.  All operations are exact, on ints;
-mixed orders are lifted to the lcm order through zeta_r = zeta_R^(R/r).
+exact recursive division of x^r - 1, of degree phi(r).  Every value is
+built from an integer exponent histogram, reduced mod Phi_r in
+Cyclotomic._set alone.  All operations are exact, on ints; mixed orders
+are lifted to the lcm order through zeta_r = zeta_R^(R/r).
 
 Values produced by character computations stay in this representation
 end to end, so equality tests used by the decomposition routines are
@@ -22,15 +24,8 @@ from .errors import InconsistencyError
 from .immutable import Immutable
 
 
-@lru_cache(maxsize=None)
 def euler_phi(r: int) -> int:
-    if r < 1:
-        raise ValueError("order must be a positive integer")
-    count = 0
-    for k in range(1, r + 1):
-        if gcd(k, r) == 1:
-            count += 1
-    return count
+    return len(cyclotomic_polynomial(r)) - 1
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -70,39 +65,17 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def _reduce_mod_phi(nums: list[int], r: int) -> list[int]:
+def _reduce_mod_phi(nums, r: int) -> list[int]:
     """Integer coordinates of sum_k nums[k] x^k mod Phi_r: phi(r) of them."""
     phi = euler_phi(r)
     mod = cyclotomic_polynomial(r)
-    nums = list(nums)
+    nums = list(nums) + [0] * (phi - len(nums))
     for i in range(len(nums) - 1, phi - 1, -1):
         c = nums[i]
         if c:
             for j, m in enumerate(mod):
                 nums[i - phi + j] -= c * m
-        nums.pop()
-    nums.extend([0] * (phi - len(nums)))
-    return nums
-
-
-@lru_cache(maxsize=None)
-def _root_power_coeffs(r: int, k: int) -> tuple[int, ...]:
-    """Power-basis coordinates of zeta_r^k."""
-    if r < 1:
-        raise ValueError("order must be a positive integer")
-    k %= r
-    return tuple(_reduce_mod_phi([0] * k + [1], r))
-
-
-def _substitute(nums, order: int, k: int) -> list[int]:
-    """Power-basis coordinates in Q(zeta_order) of sum_j nums[j] *
-    zeta_order^(j*k)."""
-    acc = [0] * euler_phi(order)
-    for j, a in enumerate(nums):
-        if a:
-            for i, c in enumerate(_root_power_coeffs(order, j * k)):
-                acc[i] += a * c
-    return acc
+    return nums[:phi]
 
 
 class Cyclotomic(Immutable):
@@ -119,12 +92,14 @@ class Cyclotomic(Immutable):
         values = [Fraction(c) for c in values]
         common = lcm(1, *(c.denominator for c in values))
         nums = [c.numerator * (common // c.denominator) for c in values]
-        self._set(order, _reduce_mod_phi(nums, order), den * common)
+        self._set(order, nums, den * common)
 
-    def _set(self, order: int, nums: list[int], den: int) -> None:
-        """Store nums / den (phi(order) ints) in lowest terms, den > 0."""
+    def _set(self, order: int, exponents, den: int) -> None:
+        """Store sum_k exponents[k] * zeta_order^k / den for any int sequence,
+        reduced mod Phi_order to phi(order) numerators in lowest terms, den > 0."""
         if den == 0:
             raise ZeroDivisionError("division by zero")
+        nums = _reduce_mod_phi(exponents, order)
         g = gcd(den, *nums)
         if den < 0:
             g = -g
@@ -136,9 +111,9 @@ class Cyclotomic(Immutable):
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def _from_ints(cls, order: int, nums: list[int], den: int) -> "Cyclotomic":
+    def _from_histogram(cls, order: int, exponents, den: int) -> "Cyclotomic":
         value = object.__new__(cls)
-        value._set(order, nums, den)
+        value._set(order, exponents, den)
         return value
 
     @property
@@ -161,9 +136,12 @@ class Cyclotomic(Immutable):
         return Cyclotomic(order, [value])
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def root(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_order^k."""
-        return Cyclotomic._from_ints(order, _root_power_coeffs(order, k), 1)
+        if order < 1:
+            raise ValueError("order must be a positive integer")
+        return Cyclotomic._from_histogram(order, [0] * (k % order) + [1], 1)
 
     # -- order handling ------------------------------------------------
 
@@ -173,8 +151,10 @@ class Cyclotomic(Immutable):
             return self
         if new_order % self.order != 0:
             raise ValueError("can only lift to a multiple of the current order")
-        nums = _substitute(self.nums, new_order, new_order // self.order)
-        return Cyclotomic._from_ints(new_order, nums, self.den)
+        step = new_order // self.order
+        exponents = [0] * new_order
+        exponents[: step * len(self.nums) : step] = self.nums
+        return Cyclotomic._from_histogram(new_order, exponents, self.den)
 
     def _common(self, other: "Cyclotomic"):
         m = lcm(self.order, other.order)
@@ -198,7 +178,7 @@ class Cyclotomic(Immutable):
         a, b = self._common(other)
         da, db = a.den, b.den
         nums = [x * db + sign * y * da for x, y in zip(a.nums, b.nums)]
-        return Cyclotomic._from_ints(a.order, nums, da * db)
+        return Cyclotomic._from_histogram(a.order, nums, da * db)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -206,7 +186,8 @@ class Cyclotomic(Immutable):
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._from_ints(self.order, [-x for x in self.nums], self.den)
+        nums = [-x for x in self.nums]
+        return Cyclotomic._from_histogram(self.order, nums, self.den)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -217,7 +198,8 @@ class Cyclotomic(Immutable):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             nums = [x * other.numerator for x in self.nums]
-            return Cyclotomic._from_ints(self.order, nums, self.den * other.denominator)
+            den = self.den * other.denominator
+            return Cyclotomic._from_histogram(self.order, nums, den)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
@@ -227,8 +209,7 @@ class Cyclotomic(Immutable):
                 for j, y in enumerate(b.nums):
                     if y:
                         prod[i + j] += x * y
-        prod = _reduce_mod_phi(prod, a.order)
-        return Cyclotomic._from_ints(a.order, prod, a.den * b.den)
+        return Cyclotomic._from_histogram(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -236,7 +217,7 @@ class Cyclotomic(Immutable):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         nums = [x * other.denominator for x in self.nums]
-        return Cyclotomic._from_ints(self.order, nums, self.den * other.numerator)
+        return Cyclotomic._from_histogram(self.order, nums, self.den * other.numerator)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -255,16 +236,15 @@ class Cyclotomic(Immutable):
     def galois(self, k: int) -> "Cyclotomic":
         """Apply the automorphism zeta -> zeta^k (k coprime to order)."""
         r = self.order
-        if r == 1:
-            return self
         if gcd(k, r) != 1:
             raise ValueError("automorphism exponent must be coprime to the order")
-        return Cyclotomic._from_ints(r, _substitute(self.nums, r, k), self.den)
+        exponents = [0] * r
+        for j, x in enumerate(self.nums):
+            exponents[j * k % r] = x
+        return Cyclotomic._from_histogram(r, exponents, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^(-1)."""
-        if self.order <= 2:
-            return self
         return self.galois(self.order - 1)
 
     # -- predicates and extraction ---------------------------------------
@@ -366,8 +346,8 @@ class _HistogramValues(dict):
         self.den = den
 
     def __missing__(self, histogram) -> Cyclotomic:
-        value = self[histogram] = Cyclotomic._from_ints(
-            self.order, _reduce_mod_phi(histogram, self.order), self.den
+        value = self[histogram] = Cyclotomic._from_histogram(
+            self.order, histogram, self.den
         )
         return value
 

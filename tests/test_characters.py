@@ -44,6 +44,7 @@ from gelfand.errors import InconsistencyError, UnsupportedGroupError
 from gelfand.model import _scope_characters, _type_histograms
 from gelfand.shapes import (
     Shape,
+    ShapeOrbit,
     count_standard,
     enumerate_orbits,
     enumerate_shapes,
@@ -907,3 +908,48 @@ def test_reassembly_beyond_the_table(group):
         changed = list(values)
         changed[-1] = changed[-1] + delta
         assert not _agree(ClassFunction(r, p, n, changed), terms)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: wreath_character(((1,), ()), ((1,),)),
+            ValueError,
+            "label and class need the same number of colors",
+        ),
+        (
+            lambda: wreath_character(((1,), ()), ((2,), ())),
+            ValueError,
+            "label and class sizes differ",
+        ),
+        (lambda: sym_character((2,), (1,)), ValueError, "partition sizes differ"),
+        (
+            lambda: delta1(((1,), ()), ConjugacyClass(2, 1, ((2,), ()))),
+            ValueError,
+            "expected one component per even color",
+        ),
+        (
+            lambda: delta1(((2,),), ConjugacyClass(2, 1, ((2,), ()))),
+            ValueError,
+            "shape size must be half the class size",
+        ),
+        (
+            lambda: IrreducibleLabel(ShapeOrbit(((1,), ()), 1), 1),
+            ValueError,
+            "split index out of range for this orbit",
+        ),
+    ],
+    ids=[
+        "wreath_character-colors",
+        "wreath_character-size",
+        "sym_character-size",
+        "delta1-components",
+        "delta1-size",
+        "IrreducibleLabel-j",
+    ],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -388,3 +388,74 @@ def test_enumerator_matches_reference(r, p, q, n):
     assert [ctype for ctype, _ in ours] == [ctype for ctype, _ in reference]
     for (_, members), (_, expected) in zip(ours, reference):
         assert [v._key() for v in members] == [v._key() for v in expected]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: ConjugacyClass(2, 1, ((1,),)),
+            ValueError,
+            "label needs one component per color",
+        ),
+        (
+            lambda: ConjugacyClass(2, 2, ((), (1,))),
+            ValueError,
+            "label color is not divisible by p",
+        ),
+        (
+            lambda: ConjugacyClass(2, 1, ((2,), ()), 0),
+            ValueError,
+            "label does not split; half must be None",
+        ),
+        (
+            lambda: class_of(ColoredPermutation(2, (1,), (1,)), 2),
+            ValueError,
+            "element does not lie in the subgroup",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, "sym", (1, 0)),
+            ValueError,
+            "symmetric type takes fixed and pair vectors",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, "sym", (1,), (0,)),
+            ValueError,
+            "vectors must have one entry per color",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, "asym", (1, 0), (0, 0)),
+            ValueError,
+            "antisymmetric type takes the twist vector",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, "asym", twist=(1, 0)),
+            ValueError,
+            "twist vector must have one entry per color pair",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, "both", (1, 0), (0, 0)),
+            ValueError,
+            "kind must be 'sym' or 'asym'",
+        ),
+    ],
+    ids=[
+        "ConjugacyClass-components",
+        "ConjugacyClass-color",
+        "ConjugacyClass-half",
+        "class_of-outside",
+        "InvolutionClassType-sym-args",
+        "InvolutionClassType-sym-length",
+        "InvolutionClassType-asym-args",
+        "InvolutionClassType-asym-length",
+        "InvolutionClassType-kind",
+    ],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_an_antisymmetric_type_counts_two_points_per_pair():
+    assert InvolutionClassType(4, 1, "asym", twist=(1, 2)).n == 6

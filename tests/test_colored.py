@@ -483,3 +483,56 @@ def test_quotient_group_operations(r, p, q, n):
     g = elements[1]
     with pytest.raises(ValueError, match="different quotients"):
         ProjectiveElement(g, q) * ProjectiveElement(g, 1)
+
+
+def test_absolute_conjugation_is_conjugation_by_the_colorless_permutation():
+    """absolute_conjugate(g, v) is P*v*P^-1 for P the permutation under g
+    with every color 0, on every pair of G(2,3); it is not g*v*g^-1 once g
+    has colors."""
+    elements = list(all_elements(2, 3))
+    for g in elements:
+        plain = ColoredPermutation.from_permutation(2, g.perm)
+        for v in elements:
+            assert absolute_conjugate(g, v) == plain * v * plain.inverse()
+    g, v = parse_window("[1^0,2^1]", 2), parse_window("[2^0,1^0]", 2)
+    assert absolute_conjugate(g, v) == v
+    assert g * v * g.inverse() == parse_window("[2^1,1^1]", 2)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: ColoredPermutation(2, (2, 1), (0,)),
+            ValueError,
+            "need one color per window entry",
+        ),
+        (
+            lambda: ColoredPermutation.from_cycles(
+                2, 3, [((1, 0), (2, 0)), ((2, 1),)]
+            ),
+            ValueError,
+            "cycles overlap at 2",
+        ),
+        (
+            lambda: parse_window("1^0", 2),
+            ValueError,
+            "window must be wrapped in [ ]: '1^0'",
+        ),
+        (lambda: parse_window("[]", 2), ValueError, "empty window"),
+    ],
+    ids=[
+        "ColoredPermutation-colors",
+        "from_cycles-overlap",
+        "parse_window-brackets",
+        "parse_window-empty",
+    ],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_coset_has_the_size_of_its_lift():
+    assert ProjectiveElement(parse_window("[2^1,1^0,3^1]", 4), 2).n == 3

@@ -29,6 +29,11 @@ def test_euler_phi_small():
     ]
 
 
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
+    for r in range(1, 61):
+        assert euler_phi(r) == sum(1 for k in range(1, r + 1) if gcd(k, r) == 1), r
+
+
 def test_cyclotomic_polynomial_known():
     # x - 1, x + 1, x^2 + x + 1, x^2 + 1, x^4 + x^3 + x^2 + x + 1
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -567,3 +572,53 @@ def test_exponent_map_matches_its_definition(r):
             for s in range(r):
                 expected = tuple(histogram[v * (e - s) % r] for e in range(r))
                 assert _exponent_map(r, v, s)(histogram) == expected, (v, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]),
+    data=st.data(),
+    den=st.integers(-6, 6).filter(bool),
+)
+def test_any_exponent_histogram_reduces_as_the_oracle(order, data, den):
+    """_from_histogram takes sum_k h[k] zeta^k / den for a histogram of any
+    length and either sign of den, as every constructor hands it one."""
+    histogram = data.draw(st.lists(st.integers(-12, 12), max_size=3 * order))
+    value = Cyclotomic._from_histogram(order, histogram, den)
+    assert value.den > 0 and len(value.nums) == euler_phi(order)
+    _agree(value, _FractionCyclotomic(order, [Fraction(x, den) for x in histogram]))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: zeta(4).to_order(6),
+            ValueError,
+            "can only lift to a multiple of the current order",
+        ),
+        (lambda: zeta(3) ** -1, ValueError, "negative powers are not supported"),
+        (
+            lambda: Cyclotomic.from_rational(Fraction(1, 2)).integer_value(),
+            ValueError,
+            "value is not an integer: 1/2",
+        ),
+        (
+            lambda: cyclotomic_polynomial(0),
+            ValueError,
+            "order must be a positive integer",
+        ),
+        (lambda: euler_phi(0), ValueError, "order must be a positive integer"),
+    ],
+    ids=[
+        "to_order-non-multiple",
+        "pow-negative",
+        "integer_value-half",
+        "cyclotomic_polynomial-0",
+        "euler_phi-0",
+    ],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -4,12 +4,12 @@ never reads (dunder methods aside), no private top-level function or
 class goes unreferenced, every name the package exports resolves and
 README.md names it, no module of it is imported by the tests alone,
 README.md has one row per module, exact values keep one representation
-behind one module, value types keep one identity (==, hash, <), one
-component shift and one affine color map, elements and cosets share one
-interface with no type test outside colored.py, and the command line
-writes stdout only through its emit helpers and help writer, renders
-JSON in one writer and exchanges the basis flags --p and --q in one
-helper."""
+behind one module and are reduced mod Phi_r in one method, value types
+keep one identity (==, hash, <), one component shift and one affine
+color map, elements and cosets share one interface with no type test
+outside colored.py, and the command line writes stdout only through its
+emit helpers and help writer, renders JSON in one writer and exchanges
+the basis flags --p and --q in one helper."""
 
 import ast
 import re
@@ -168,6 +168,38 @@ def test_only_cyclotomic_imports_fractions():
         if "fractions" in imported_modules(ast.parse(path.read_text()))
     ]
     assert importers == ["cyclotomic.py"]
+
+
+def readers(tree, name):
+    """The functions, by qualified name, whose body reads name, as a plain
+    name or an attribute; "<module>" for a read outside any function."""
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            scopes = []
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    scopes.append(node.name)
+            yield ".".join(reversed(scopes)) or "<module>"
+
+
+def test_only_set_reduces_mod_phi():
+    """Cyclotomic._set is the one place a value is reduced mod Phi_r: every
+    other constructor hands it an integer exponent histogram."""
+    reading = {
+        (path.name, scope)
+        for path in SOURCES
+        for scope in readers(
+            ast.parse(path.read_text(), filename=str(path)), "_reduce_mod_phi"
+        )
+    }
+    assert reading == {("cyclotomic.py", "Cyclotomic._set")}
 
 
 def test_only_the_value_base_defines_hash_and_order():

@@ -1350,3 +1350,20 @@ def test_halfway_difference_is_cyclotomic():
     for label in enumerate_classes(2, 2, 4):
         value = halfway_difference(basis, label)
         assert isinstance(value, Cyclotomic)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: ModelBasis(2, 1, 1, 2).scope_types("M2"),
+            ValueError,
+            "scope must be 'all', 'M0', 'M1' or a type",
+        ),
+    ],
+    ids=["scope_types-M2"],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -167,3 +167,14 @@ def test_projective_rs_inserts_once_per_coset(monkeypatch):
     coset = ProjectiveElement(parse_window("[2^1,1^3,3^2,4^0]", 4), 4)
     assert projective_rs(coset) == _reference_projective_rs(coset)
     assert calls == [coset.rep]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [(lambda: rs_inverse(((), ()), ((), ()), 3), ValueError, "expected 3 components")],
+    ids=["rs_inverse-components"],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

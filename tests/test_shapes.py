@@ -386,3 +386,19 @@ def test_standard_fillings_match_profile_recursion(r):
             assert len(fillings) == count_standard(shape)
             assert all(_is_standard(tab, shape) for tab in fillings)
     assert enumerate_standard(((),) * r) == [((),) * r]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [(lambda: partitions(-1), ValueError, "cannot partition a negative integer")],
+    ids=["partitions-negative"],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_an_orbit_knows_its_group_size():
+    orbit = ShapeOrbit(((2, 1), (), (1,), ()), 2)
+    assert (orbit.r, orbit.n) == (4, 4)
