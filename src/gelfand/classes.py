@@ -23,11 +23,11 @@ from types import MappingProxyType
 from .colored import (
     ColoredPermutation,
     ProjectiveElement,
-    antisymmetric_elements,
+    _halves,
+    _involutions,
     check_group_parameters,
     check_supported_group,
     group_order,
-    symmetric_elements,
 )
 from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
 from .immutable import Value
@@ -309,35 +309,42 @@ class InvolutionClassType(Value):
 
 
 def _raw_type(v) -> tuple:
-    """InvolutionClassType arguments (r, shift_order, kind, fixed, pair,
-    twist) of an absolute involution, before canonicalization.
+    """The raw type (h, fixed, pair) of an absolute involution: h is the
+    color shift along its 2-cycles (0 symmetric, r/2 antisymmetric), fixed
+    counts its fixed points by color, pair its 2-cycles (j, k), j < k, by
+    the color at j mod r - h.
 
     Any other input raises ValueError("element is not an absolute
     involution"), by the one rule of is_absolute_involution: a symmetric
     lift, or an antisymmetric one with even shift order q; a plain element
-    is its own coset with q = 1.  Fixed points and the 2-cycles (j, k) with
-    j < k are counted by the color at j.
+    is its own coset with q = 1.
     """
     if not v.is_absolute_involution():
         raise ValueError("element is not an absolute involution")
-    shift_order, lift = v.q, v.rep
-    kind = lift.symmetry_kind()
+    lift = v.rep
     r = lift.r
-    window = list(enumerate(zip(lift.perm, lift.colors), 1))
-    if kind == "symmetric":
-        fixed = [0] * r
-        pair = [0] * r
-        for j, (k, z) in window:
-            if j == k:
-                fixed[z] += 1
-            elif j < k:
-                pair[z] += 1
-        return (r, shift_order, "sym", tuple(fixed), tuple(pair), None)
-    twist = [0] * (r // 2)
-    for j, (k, z) in window:
-        if j < k:
-            twist[z % (r // 2)] += 1
-    return (r, shift_order, "asym", None, None, tuple(twist))
+    h = r // 2 if lift.symmetry_kind() == "antisymmetric" else 0
+    fixed, pair = [0] * r, [0] * (r - h)
+    for j, (k, z) in enumerate(zip(lift.perm, lift.colors), 1):
+        if j == k:
+            fixed[z] += 1
+        elif j < k:
+            pair[z % (r - h)] += 1
+    return h, tuple(fixed), tuple(pair)
+
+
+def _raw_color_sum(r: int, h: int, fixed, pair) -> int:
+    """The color sum mod r of a raw type's involutions: a fixed point adds
+    its color i, a 2-cycle with color i at its smaller end i + (i + h)."""
+    return sum(i * f + (2 * i + h) * g for i, (f, g) in enumerate(zip(fixed, pair))) % r
+
+
+def _type_of(r: int, shift_order: int, h: int, fixed, pair) -> InvolutionClassType:
+    """The InvolutionClassType of a raw type (see _raw_type): antisymmetric,
+    twisted by the first r/2 pair counts, when h > 0, else symmetric."""
+    if h:
+        return InvolutionClassType(r, shift_order, "asym", twist=pair[: r // 2])
+    return InvolutionClassType(r, shift_order, "sym", fixed, pair)
 
 
 def involution_type(v) -> InvolutionClassType:
@@ -346,7 +353,7 @@ def involution_type(v) -> InvolutionClassType:
     Any other input raises ValueError("element is not an absolute
     involution").
     """
-    return InvolutionClassType(*_raw_type(v))
+    return _type_of(v.r, v.q, *_raw_type(v))
 
 
 def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
@@ -394,9 +401,7 @@ def enumerate_involution_classes(
     """
     check_group_parameters(r, p, q, n)
     check_enumeration_order(r, n, max_order)
-    lifts = symmetric_elements(r, n)
-    if p % 2 == 0:
-        lifts += antisymmetric_elements(r, n)
+    lifts = [w for h in _halves(r, p) for w in _involutions(r, n, h)]
     # one least lift per coset: its first color is below r/p; the lists are
     # sorted and no type mixes the two kinds, so every bucket fills in order.
     # Many raw count vectors name one type, and each is canonicalized once.
@@ -408,6 +413,6 @@ def enumerate_involution_classes(
             raw = _raw_type(v)
             ctype = types.get(raw)
             if ctype is None:
-                ctype = types[raw] = InvolutionClassType(*raw)
+                ctype = types[raw] = _type_of(r, p, *raw)
             buckets.setdefault(ctype, []).append(v)
     return tuple((ctype, tuple(buckets[ctype])) for ctype in sorted(buckets))

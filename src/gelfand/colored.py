@@ -189,9 +189,9 @@ class ColoredPermutation(Value):
         """True iff v * conj(v) is trivial in the quotient.  For any lift g
         it is a scalar c exactly when g^T = c * g (g is unitary), and then
         c^2 = 1: c = 1 (g symmetric) lies in every C_q, c = -1 (g
-        antisymmetric) in C_q exactly when q is even."""
-        kind = self.rep.symmetry_kind()
-        return kind == "symmetric" or (kind == "antisymmetric" and self.q % 2 == 0)
+        antisymmetric) in C_q exactly when q is even (see _halves)."""
+        h = {"symmetric": 0, "antisymmetric": self.r // 2}.get(self.rep.symmetry_kind())
+        return h in _halves(self.r, self.q)
 
     def symmetry_kind(self) -> str:
         """'symmetric', 'antisymmetric', or 'neither', as a matrix.
@@ -452,6 +452,12 @@ def cycle_pairings(lengths):
                     yield singles, ((first, other),) + pairs
 
     return rec(tuple(range(len(lengths))))
+
+
+def _halves(r: int, q: int) -> tuple[int, ...]:
+    """The 2-cycle color shifts h of absolute involutions mod C_q: 0
+    (symmetric), and r/2 (antisymmetric) when q is even, so -1 is in C_q."""
+    return (0, r // 2) if q % 2 == 0 else (0,)
 
 
 def _involutions(r: int, n: int, half: int) -> list[ColoredPermutation]:

@@ -66,10 +66,13 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
 
 
 def _reduce_mod_phi(nums, r: int) -> list[int]:
-    """Integer coordinates of sum_k nums[k] x^k mod Phi_r: phi(r) of them."""
-    phi = euler_phi(r)
+    """Integer coordinates of sum_k nums[k] x^k mod Phi_r: phi(r) of them.
+    At most phi(r) coordinates are already reduced and come back padded."""
     mod = cyclotomic_polynomial(r)
+    phi = len(mod) - 1
     nums = list(nums) + [0] * (phi - len(nums))
+    if len(nums) == phi:
+        return nums
     for i in range(len(nums) - 1, phi - 1, -1):
         c = nums[i]
         if c:

@@ -41,6 +41,8 @@ from .characters import (
 )
 from .classes import (
     InvolutionClassType,
+    _raw_color_sum,
+    _type_of,
     check_enumeration_order,
     enumerate_classes,
     enumerate_involution_classes,
@@ -50,6 +52,7 @@ from .classes import (
 from .colored import (
     ColoredPermutation,
     ProjectiveElement,
+    _halves,
     check_supported_group,
     cycle_pairings,
     projective_conjugate,
@@ -233,22 +236,21 @@ def _class_window(label):
     )
 
 
-def _orbit(perm0, pairs, fixed, offsets, half: int, r: int):
+def _orbit(perm0, pairs, fixed, offsets, h: int, r: int):
     """One orbit of <|g|, pi> as (descriptor part, placed offsets, parity).
 
     pairs lists pi's 2-cycles on the orbit and fixed its fixed points;
     offsets maps each position to its color less the orbit's start color.
     The descriptor part, a whole descriptor (see _Sweep) less S and T,
     holds the fixed points' offsets, the offsets at the smaller end of
-    each 2-cycle (mod r/2 for an antisymmetric pi, where half = r/2) and
-    whether it holds position 0.  The parity counts the 2-cycles (a, b),
-    a < b, that |g| inverts.
+    each 2-cycle mod r - h, h being pi's 2-cycle shift (0, or r/2 for an
+    antisymmetric pi), and whether it holds position 0.  The parity
+    counts the 2-cycles (a, b), a < b, that |g| inverts.
     """
-    modulus = r // 2 if half else r
     return (
         (
             tuple(sorted(offsets[j] for j in fixed)),
-            tuple(sorted(offsets[min(a, b)] % modulus for a, b in pairs)),
+            tuple(sorted(offsets[min(a, b)] % (r - h) for a, b in pairs)),
             0 in offsets,
         ),
         offsets,
@@ -256,7 +258,7 @@ def _orbit(perm0, pairs, fixed, offsets, half: int, r: int):
     )
 
 
-def _commuting_involutions(perm0, cycles, s: int, half: int, r: int):
+def _commuting_involutions(perm0, cycles, s: int, h: int, r: int):
     """Every involution pi commuting with the 0-based perm perm0, of the
     given cycles, whose colorings can be fixed up to the shift s, as its
     tuple of orbits (see _orbit).
@@ -266,23 +268,23 @@ def _commuting_involutions(perm0, cycles, s: int, half: int, r: int):
     length L, or swaps C with another L-cycle C' at one of L offsets.  The
     kept cycles and the swapped pairs are the cycle_pairings of the
     lengths; each part's orbits are built once and combined by product.  A
-    step along |g| adds s to the color, a step along pi adds half (0, or
-    r/2 when pi is antisymmetric); the half-turn closes only when
-    (L/2)*s = half mod r.  Each cycle starts at its least position, so each
-    orbit does too.
+    step along |g| adds s to the color, a step along pi adds h (0, or r/2
+    when pi is antisymmetric); the half-turn closes only when (L/2)*s = h
+    mod r.  Each cycle starts at its least position, so each orbit does
+    too.
     """
 
     def walk(cycle, start=0, base=0):
         return {j: (base + (k - start) * s) % r for k, j in enumerate(cycle)}
 
     def orbit(pairs, fixed, offsets):
-        return _orbit(perm0, pairs, fixed, offsets, half, r)
+        return _orbit(perm0, pairs, fixed, offsets, h, r)
 
     kept = []
     for cycle in cycles:
         length = len(cycle)
-        orbits = [] if half else [orbit((), cycle, walk(cycle))]
-        if length % 2 == 0 and length // 2 * s % r == half:
+        orbits = [] if h else [orbit((), cycle, walk(cycle))]
+        if length % 2 == 0 and length // 2 * s % r == h:
             turned = tuple(zip(cycle[: length // 2], cycle[length // 2 :]))
             orbits.append(orbit(turned, (), walk(cycle)))
         kept.append(orbits)
@@ -295,7 +297,7 @@ def _commuting_involutions(perm0, cycles, s: int, half: int, r: int):
                     orbit(
                         tuple(zip(cycle, partner[t:] + partner[:t])),
                         (),
-                        walk(cycle) | walk(partner, t, half),
+                        walk(cycle) | walk(partner, t, h),
                     )
                     for t in range(len(cycle))
                 ]
@@ -310,23 +312,21 @@ def _perm_structures(perm0, cycles, r: int, p: int, twist: bool) -> list[tuple]:
     class of that perm.
 
     s runs over the multiples of r/p that close every cycle of perm0, and
-    antisymmetric pi occur only when p is even.  Each entry holds the kind,
-    the whole descriptors (see _Sweep), the map from a position to its
-    (orbit, offset), and the sign (-1)^parity of a symmetric pi.  S is 0;
-    T is s on the orbit holding position 0 of a twisted antisymmetric pi,
-    whose transfer statistic is s, and 0 elsewhere.
+    pi's 2-cycle shift h over _halves(r, p).  Each entry holds h, the
+    whole descriptors (see _Sweep), the map from a position to its (orbit,
+    offset), and the sign (-1)^parity of a symmetric pi.  S is 0; T is s
+    on the orbit holding position 0 of a twisted antisymmetric pi, whose
+    transfer statistic is s, and 0 elsewhere.
     """
     lengths = {len(cycle) for cycle in cycles}
     shifts = [
         s for s in range(0, r, r // p) if all(length * s % r == 0 for length in lengths)
     ]
     out = []
-    for kind, half in (("sym", 0), ("asym", r // 2)):
-        if kind == "asym" and p % 2:
-            continue
+    for h in _halves(r, p):
         for s in shifts:
-            transfer = s if kind == "asym" and twist else 0
-            for orbits in _commuting_involutions(perm0, cycles, s, half, r):
+            transfer = s if h and twist else 0
+            for orbits in _commuting_involutions(perm0, cycles, s, h, r):
                 where = {}
                 descriptors = []
                 for o, (part, offsets, _) in enumerate(orbits):
@@ -334,18 +334,9 @@ def _perm_structures(perm0, cycles, r: int, p: int, twist: bool) -> list[tuple]:
                     for j, offset in offsets.items():
                         where[j] = (o, offset)
                 inverted = sum(parity for _, _, parity in orbits) % 2
-                sign = -1 if kind == "sym" and inverted else 1
-                out.append((kind, tuple(descriptors), where, sign))
+                sign = -1 if inverted and not h else 1
+                out.append((h, tuple(descriptors), where, sign))
     return out
-
-
-def _raw_color_sum(r: int, fixed, pair, twist) -> int:
-    """The color sum mod r of a raw type's involutions: a fixed point adds
-    its color i, a symmetric 2-cycle 2i, and an antisymmetric one
-    z + (z + r/2), with z its color at the smaller end mod r/2."""
-    if twist is None:
-        return sum(i * (f + 2 * g) for i, (f, g) in enumerate(zip(fixed, pair))) % r
-    return sum((2 * z + r // 2) * t for z, t in enumerate(twist)) % r
 
 
 class _Sweep:
@@ -361,8 +352,8 @@ class _Sweep:
     one start color c, below r/p on the orbit that holds position 0 (the
     least lift) and free otherwise; its fixed points and 2-cycles then take
     the colors c + offset, and it adds c*S + T to the exponent.  The states
-    of a run of orbits map each packed raw type (its fixed-point and
-    2-cycle color counts, one base n+1 digit each) to its counts by
+    of a run of orbits map each packed raw type, base n+1 digit c counting
+    fixed points of color c and digit r + c 2-cycles, to its counts by
     exponent mod r.  A raw type fixes its color sum, so block applies the
     basis group's condition, color sum 0 mod q, once per raw type.
     """
@@ -376,31 +367,27 @@ class _Sweep:
         self.blocks: dict[tuple, int | None] = {}
         self.numbers: dict[InvolutionClassType, int] = {}
 
-    def _moves(self, kind, descriptor) -> list[tuple[int, itemgetter]]:
+    def _moves(self, h, descriptor) -> list[tuple[int, itemgetter]]:
         """(packed raw type, exponent rotation) added by each start color."""
-        key = (kind, descriptor)
+        key = (h, descriptor)
         moves = self.moves.get(key)
         if moves is None:
             r, radix = self.r, self.radix
             fixed, pairs, holds_zero, total, weighted = descriptor
-            if kind == "sym":
-                slot, base = r, r
-            else:
-                slot, base = r // 2, 0
             moves = self.moves[key] = [
                 (
                     sum(radix ** ((c + o) % r) for o in fixed)
-                    + sum(radix ** (base + (c + o) % slot) for o in pairs),
+                    + sum(radix ** (r + (c + o) % (r - h)) for o in pairs),
                     self.rotations[(c * total + weighted) % r],
                 )
                 for c in range(r // self.p if holds_zero else r)
             ]
         return moves
 
-    def _extend(self, kind, descriptor, states) -> dict:
+    def _extend(self, h, descriptor, states) -> dict:
         """The states of one more orbit followed by the given ones."""
         out: dict[int, tuple] = {}
-        for dcode, shift in self._moves(kind, descriptor):
+        for dcode, shift in self._moves(h, descriptor):
             for code, counts in states.items():
                 moved = shift(counts)
                 code += dcode
@@ -408,65 +395,62 @@ class _Sweep:
                 out[code] = moved if old is None else tuple(map(add, old, moved))
         return out
 
-    def _states(self, kind, signature) -> dict:
+    def _states(self, h, signature) -> dict:
         """The states of a signature suffix, memoized: suffixes recur."""
-        key = (kind, signature) if signature else ()
+        key = (h, signature) if signature else ()
         states = self.states.get(key)
         if states is None:
             states = self.states[key] = self._extend(
-                kind, signature[0], self._states(kind, signature[1:])
+                h, signature[0], self._states(h, signature[1:])
             )
         return states
 
-    def histogram(self, kind, signature) -> dict[int, tuple[int, ...]]:
+    def histogram(self, h, signature) -> dict[int, tuple[int, ...]]:
         """{block number: exponent histogram} for every block met by the
         colorings that one (pi, s) with this signature fixes.  Nothing is
         kept: a whole signature is no suffix of another, and the driver
         asks for each signature once."""
         histogram: dict[int, tuple] = {}
-        states = self._extend(kind, signature[0], self._states(kind, signature[1:]))
+        states = self._extend(h, signature[0], self._states(h, signature[1:]))
         for code, counts in states.items():
-            number = self.block(kind, code)
+            number = self.block(h, code)
             if number is not None:
                 old = histogram.get(number)
                 histogram[number] = counts if old is None else tuple(map(add, old, counts))
         return histogram
 
-    def block(self, kind, code) -> int | None:
-        """The number of the block of a packed raw type: its
-        InvolutionClassType's number in self.numbers, in order of first
-        sight, or None when its color sum is not 0 mod q, so that no basis
-        coset has it."""
-        key = (kind, code)
+    def block(self, h, code) -> int | None:
+        """The number of the block of a packed raw type with 2-cycle shift
+        h: its InvolutionClassType's number in self.numbers, in order of
+        first sight, or None when its color sum is not 0 mod q, so that no
+        basis coset has it."""
+        key = (h, code)
         if key not in self.blocks:
             r = self.r
             digits = []
-            for _ in range(2 * r if kind == "sym" else r // 2):
+            for _ in range(2 * r):
                 code, digit = divmod(code, self.radix)
                 digits.append(digit)
-            if kind == "sym":
-                raw = (tuple(digits[:r]), tuple(digits[r:]), None)
-            else:
-                raw = (None, None, tuple(digits))
-            if _raw_color_sum(r, *raw) % self.q:
+            fixed, pair = tuple(digits[:r]), tuple(digits[r:])
+            if _raw_color_sum(r, h, fixed, pair) % self.q:
                 self.blocks[key] = None
             else:
-                ctype = InvolutionClassType(r, self.p, kind, *raw)
+                ctype = _type_of(r, self.p, h, fixed, pair)
                 self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
         return self.blocks[key]
 
     def weights(self, structures, nonzero) -> dict[tuple, int]:
-        """{(kind, signature): signed count of its (pi, s)} at one class,
+        """{(h, signature): signed count of its (pi, s)} at one class,
         from the structures of its perm and its nonzero colors."""
         r = self.r
         weights: dict[tuple, int] = {}
-        for kind, descriptors, where, sign in structures:
+        for h, descriptors, where, sign in structures:
             descriptors = list(descriptors)
             for j, z in nonzero:
                 o, offset = where[j]
                 *part, total, weighted = descriptors[o]
                 descriptors[o] = (*part, (total + z) % r, (weighted + z * offset) % r)
-            key = (kind, tuple(sorted(descriptors)))
+            key = (h, tuple(sorted(descriptors)))
             weights[key] = weights.get(key, 0) + sign
         return weights
 
@@ -507,8 +491,8 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
                     uses.setdefault(key, []).append((k, weight))
     columns: list[dict[int, list[int]]] = [{} for _ in labels]
     zero = [0] * r
-    for (kind, signature), users in uses.items():
-        histogram = sweep.histogram(kind, signature)
+    for (h, signature), users in uses.items():
+        histogram = sweep.histogram(h, signature)
         for k, weight in users:
             column = columns[k]
             for number, counts in histogram.items():

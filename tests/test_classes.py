@@ -22,6 +22,7 @@ from gelfand.classes import (
 from gelfand.colored import (
     ColoredPermutation,
     ProjectiveElement,
+    _halves,
     all_elements,
     antisymmetric_elements,
     check_group_parameters,
@@ -304,6 +305,32 @@ def test_involution_type_refuses_exactly_the_non_absolute_involutions():
             else:
                 with pytest.raises(ValueError, match="not an absolute involution"):
                     involution_type(v)
+
+
+def test_one_even_order_rule_decides_both_predicates():
+    # every coset of every element of G(r,n) with r <= 6, n <= 4 and
+    # r^n*n! <= 10^4, at every scalar order q dividing r: an antisymmetric
+    # lift is an absolute involution exactly when _halves(r, q) holds its
+    # shift r/2, and involution_type agrees with the reference or both refuse
+    for r in range(1, 7):
+        orders = [q for q in range(1, r + 1) if r % q == 0]
+        for n in range(1, 5):
+            if r**n * factorial(n) > 10**4:
+                continue
+            for w in all_elements(r, n):
+                kind = w.symmetry_kind()
+                for q in orders:
+                    v = ProjectiveElement(w, q)
+                    absolute = kind == "symmetric" or (
+                        kind == "antisymmetric" and r // 2 in _halves(r, q)
+                    )
+                    assert v.is_absolute_involution() == absolute, (v, q)
+                    if absolute:
+                        assert involution_type(v) == _reference_involution_type(v), (v, q)
+                    else:
+                        for build in (involution_type, _reference_involution_type):
+                            with pytest.raises(ValueError, match="not an absolute involution"):
+                                build(v)
 
 
 def _reference_involution_type(v) -> InvolutionClassType:

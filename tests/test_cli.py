@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -799,3 +801,19 @@ JSON_DOCUMENTS = st.recursive(
 def test_json_writer_matches_json_dumps(document):
     text = "".join(gelfand.cli._json_chunks(document))
     assert text == json.dumps(document, indent=2)
+
+
+def test_readme_commands_print_what_the_readme_shows(capsys):
+    # every README code block that opens with a gelfand command shows, after
+    # that line, the command's stdout byte for byte
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [
+        block.split("\n", 1)
+        for block in re.findall(r"^```\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+        if block.startswith("gelfand ")
+    ]
+    assert len(blocks) >= 2
+    for command, shown in blocks:
+        code, out, err = run(capsys, shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        assert out == shown, command

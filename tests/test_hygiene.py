@@ -7,7 +7,9 @@ README.md has one row per module, exact values keep one representation
 behind one module and are reduced mod Phi_r in one method, value types
 keep one identity (==, hash, <), one component shift and one affine
 color map, elements and cosets share one interface with no type test
-outside colored.py, and the command line writes stdout only through its
+outside colored.py, which alone states the even-order rule of the
+antisymmetric involutions, the block sweep carries the 2-cycle shift h
+rather than a kind, and the command line writes stdout only through its
 emit helpers and help writer, renders JSON in one writer and exchanges
 the basis flags --p and --q in one helper."""
 
@@ -200,6 +202,72 @@ def test_only_set_reduces_mod_phi():
         )
     }
     assert reading == {("cyclotomic.py", "Cyclotomic._set")}
+
+
+def scoped_nodes(tree):
+    """(scope, node) for every node of a tree, scope being the qualified
+    name of the functions and classes around the node, "<module>" for
+    none."""
+
+    def walk(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            yield ".".join(scopes) or "<module>", child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, scopes + [child.name])
+            else:
+                yield from walk(child, scopes)
+
+    return walk(tree, [])
+
+
+def test_the_sweep_carries_the_two_cycle_shift_not_a_kind():
+    """model.py names the kinds "sym" and "asym" only where a scope or a
+    prediction reads a type's kind, and builds no InvolutionClassType: the
+    sweep carries the 2-cycle shift h, and classes._type_of turns a raw
+    type into a type."""
+    path = Path(gelfand.__file__).parent / "model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    naming = {
+        scope
+        for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Constant) and node.value in ("sym", "asym")
+    }
+    assert naming == {"ModelBasis.scope_types", "predicted_labels"}
+    building = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "InvolutionClassType"
+    ]
+    assert not building, "model.py builds types at lines %s" % building
+
+
+def scalar_order_parities(tree):
+    """The lines that take a scalar order, p or q as a name or an
+    attribute, mod 2."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+            and getattr(node.left, "id", getattr(node.left, "attr", None)) in ("p", "q")
+        ):
+            yield node.lineno
+
+
+def test_only_colored_states_the_even_order_rule():
+    """Antisymmetric involutions exist mod C_q exactly when q is even: only
+    colored.py, where _halves is, takes a scalar order mod 2; the rest
+    loop over _halves or ask is_absolute_involution."""
+    spelled = {
+        path.name: list(scalar_order_parities(ast.parse(path.read_text(), filename=str(path))))
+        for path in SOURCES
+    }
+    assert spelled.pop("colored.py"), "the check misses _halves itself"
+    stray = {name: lines for name, lines in spelled.items() if lines}
+    assert not stray, "scalar orders taken mod 2 outside colored.py: %s" % stray
 
 
 def test_only_the_value_base_defines_hash_and_order():
