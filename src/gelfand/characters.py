@@ -220,7 +220,12 @@ class ClassFunction(Immutable):
         object.__setattr__(self, "values", values)
 
     def __call__(self, label: ConjugacyClass) -> Cyclotomic:
-        return self.values[class_positions(self.r, self.p, self.n)[label]]
+        position = class_positions(self.r, self.p, self.n).get(label)
+        if position is None:
+            raise ValueError(
+                "%r is not a class of G(%d,%d,%d)" % (label, self.r, self.p, self.n)
+            )
+        return self.values[position]
 
     def _same_group(self, other: "ClassFunction") -> None:
         if (self.r, self.p, self.n) != (other.r, other.p, other.n):

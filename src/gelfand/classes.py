@@ -224,65 +224,59 @@ def normal_element(label: ConjugacyClass) -> ColoredPermutation:
 
 class InvolutionClassType(Value):
     """S_n-conjugation invariant of an absolute involution in a quotient
-    group: color multiplicities of fixed points and 2-cycles, up to the
-    color rotation induced by scalar lift changes.
+    group: its raw type (h, fixed, pair), see _raw_type, up to the color
+    rotation induced by scalar lift changes.
 
-    kind is "sym" (fixed vector f and 2-cycle vector q, both length r) or
-    "asym" (2-cycle color-residue vector t, length r/2).  shift_order is
-    the order of the scalar group quotiented away; the stored vectors are
-    the lexicographically least rotation.
+    h is the 2-cycle color shift, 0 (symmetric) or r/2 (antisymmetric, no
+    fixed point); fixed has r entries and pair r - h.  shift_order is the
+    order of the scalar group quotiented away; the stored vectors are the
+    lexicographically least rotation of (fixed, pair).
     """
 
-    __slots__ = ("r", "shift_order", "kind", "fixed", "pair", "twist")
+    __slots__ = ("r", "shift_order", "h", "fixed", "pair")
 
-    def __init__(self, r, shift_order, kind, fixed=None, pair=None, twist=None):
+    def __init__(self, r, shift_order, h, fixed, pair):
         if r < 1:
             raise ValueError("r must be a positive integer")
         if shift_order < 1 or r % shift_order != 0:
             raise ValueError("shift order must divide the color order")
+        if h != 0 and 2 * h != r:
+            raise ValueError("2-cycle shift must be 0 or r/2")
+        if len(fixed) != r or len(pair) != r - h:
+            raise ValueError("fixed needs r entries and pair r - h")
+        if any(count < 0 for count in (*fixed, *pair)):
+            raise ValueError("counts must be nonnegative")
+        if h and any(fixed):
+            raise ValueError("an antisymmetric type has no fixed point")
         step = r // shift_order
-        if kind == "sym":
-            if twist is not None or fixed is None or pair is None:
-                raise ValueError("symmetric type takes fixed and pair vectors")
-            if len(fixed) != r or len(pair) != r:
-                raise ValueError("vectors must have one entry per color")
-            fixed, pair = min(
-                (shape_shift(tuple(fixed), s), shape_shift(tuple(pair), s))
-                for s in range(0, r, step)
-            )
-            twist = None
-        elif kind == "asym":
-            if fixed is not None or pair is not None or twist is None:
-                raise ValueError("antisymmetric type takes the twist vector")
-            if r % 2 != 0 or len(twist) != r // 2:
-                raise ValueError("twist vector must have one entry per color pair")
-            twist = min(shape_shift(tuple(twist), s) for s in range(0, r, step))
-            fixed = pair = None
-        else:
-            raise ValueError("kind must be 'sym' or 'asym'")
+        fixed, pair = min(
+            (shape_shift(tuple(fixed), s), shape_shift(tuple(pair), s))
+            for s in range(0, r, step)
+        )
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "shift_order", shift_order)
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "twist", twist)
 
     @property
     def n(self) -> int:
-        if self.kind == "sym":
-            return sum(self.fixed) + 2 * sum(self.pair)
-        return 2 * sum(self.twist)
+        return sum(self.fixed) + 2 * sum(self.pair)
 
     def _key(self):
-        return (self.r, self.shift_order, self.kind, self.fixed, self.pair, self.twist)
+        return (self.r, self.shift_order, self.h, self.fixed, self.pair)
+
+    def sort_key(self):
+        # antisymmetric types sort first, then every type by (fixed, pair)
+        return (self.r, self.shift_order, self.h == 0, self.fixed, self.pair)
 
     def __str__(self) -> str:
-        if self.kind == "sym":
-            return "sym[%s;%s]" % (
-                ",".join(str(x) for x in self.fixed),
-                ",".join(str(x) for x in self.pair),
-            )
-        return "asym[%s]" % ",".join(str(x) for x in self.twist)
+        if self.h:
+            return "asym[%s]" % ",".join(str(x) for x in self.pair)
+        return "sym[%s;%s]" % (
+            ",".join(str(x) for x in self.fixed),
+            ",".join(str(x) for x in self.pair),
+        )
 
     def __repr__(self) -> str:
         return "InvolutionClassType(r=%d, shift=%d, %s)" % (
@@ -293,18 +287,22 @@ class InvolutionClassType(Value):
 
     @staticmethod
     def parse(text: str, r: int, shift_order: int) -> "InvolutionClassType":
+        """Read sym[fixed;pair] or asym[pair], the text of __str__."""
         text = text.strip()
         kind, _, body = text.partition("[")
-        names = {"sym": ("fixed", "pair"), "asym": ("twist",)}.get(kind)
         try:
             vectors = [
                 tuple(int(x) for x in part.split(",")) if part else ()
                 for part in body.removesuffix("]").split(";")
             ]
         except ValueError:  # an entry that is not an integer
-            names = None
-        if names and body.endswith("]") and len(vectors) == len(names):
-            return InvolutionClassType(r, shift_order, kind, **dict(zip(names, vectors)))
+            vectors = ()
+        if body.endswith("]") and kind == "sym" and len(vectors) == 2:
+            return InvolutionClassType(r, shift_order, 0, *vectors)
+        if body.endswith("]") and kind == "asym" and len(vectors) == 1:
+            # r - r // 2 is r/2 for even r and fails the 2-cycle shift check
+            # for odd r, r = 1 included
+            return InvolutionClassType(r, shift_order, r - r // 2, (0,) * r, vectors[0])
         raise ValueError("unrecognized type text: %r" % text)
 
 
@@ -323,7 +321,7 @@ def _raw_type(v) -> tuple:
         raise ValueError("element is not an absolute involution")
     lift = v.rep
     r = lift.r
-    h = r // 2 if lift.symmetry_kind() == "antisymmetric" else 0
+    h = lift._pair_shift()
     fixed, pair = [0] * r, [0] * (r - h)
     for j, (k, z) in enumerate(zip(lift.perm, lift.colors), 1):
         if j == k:
@@ -339,45 +337,38 @@ def _raw_color_sum(r: int, h: int, fixed, pair) -> int:
     return sum(i * f + (2 * i + h) * g for i, (f, g) in enumerate(zip(fixed, pair))) % r
 
 
-def _type_of(r: int, shift_order: int, h: int, fixed, pair) -> InvolutionClassType:
-    """The InvolutionClassType of a raw type (see _raw_type): antisymmetric,
-    twisted by the first r/2 pair counts, when h > 0, else symmetric."""
-    if h:
-        return InvolutionClassType(r, shift_order, "asym", twist=pair[: r // 2])
-    return InvolutionClassType(r, shift_order, "sym", fixed, pair)
-
-
 def involution_type(v) -> InvolutionClassType:
     """Type of an absolute involution (plain element or scalar coset).
 
     Any other input raises ValueError("element is not an absolute
     involution").
     """
-    return _type_of(v.r, v.q, *_raw_type(v))
+    return InvolutionClassType(v.r, v.q, *_raw_type(v))
 
 
 def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
     """Shape orbits predicted to index the irreducible constituents of the
     submodule spanned by one S_n-class of absolute involutions.
 
-    Symmetric type: all orbits whose component i has f_i + 2q_i boxes and
-    exactly f_i columns of odd length.  Antisymmetric type: all orbits of
-    half-turn-symmetric shapes whose component i has t_i boxes.
+    Symmetric type (h = 0): all orbits whose component i has f_i + 2q_i
+    boxes and exactly f_i columns of odd length, f = fixed and q = pair.
+    Antisymmetric type (h = r/2): all orbits of half-turn-symmetric shapes
+    whose component i has pair_i boxes.
     """
     p = ctype.shift_order
-    if ctype.kind == "sym":
-        choices = [
-            [lam for lam in partitions(f_i + 2 * q_i) if odd_columns(lam) == f_i]
-            for f_i, q_i in zip(ctype.fixed, ctype.pair)
-        ]
-        return frozenset(ShapeOrbit(shape, p) for shape in product(*choices))
-    out = set()
-    for half in product(*(partitions(t_i) for t_i in ctype.twist)):
-        orbit = ShapeOrbit(half + half, p)
-        if orbit.m < 2:
-            raise InconsistencyError("doubled shape failed to be shift-fixed")
-        out.add(orbit)
-    return frozenset(out)
+    if ctype.h:
+        out = set()
+        for top in product(*(partitions(t_i) for t_i in ctype.pair)):
+            orbit = ShapeOrbit(top + top, p)
+            if orbit.m < 2:
+                raise InconsistencyError("doubled shape failed to be shift-fixed")
+            out.add(orbit)
+        return frozenset(out)
+    choices = [
+        [lam for lam in partitions(f_i + 2 * q_i) if odd_columns(lam) == f_i]
+        for f_i, q_i in zip(ctype.fixed, ctype.pair)
+    ]
+    return frozenset(ShapeOrbit(shape, p) for shape in product(*choices))
 
 
 def check_enumeration_order(r: int, n: int, max_order: int) -> None:
@@ -413,6 +404,6 @@ def enumerate_involution_classes(
             raw = _raw_type(v)
             ctype = types.get(raw)
             if ctype is None:
-                ctype = types[raw] = _type_of(r, p, *raw)
+                ctype = types[raw] = InvolutionClassType(r, p, *raw)
             buckets.setdefault(ctype, []).append(v)
     return tuple((ctype, tuple(buckets[ctype])) for ctype in sorted(buckets))

@@ -190,26 +190,30 @@ class ColoredPermutation(Value):
         it is a scalar c exactly when g^T = c * g (g is unitary), and then
         c^2 = 1: c = 1 (g symmetric) lies in every C_q, c = -1 (g
         antisymmetric) in C_q exactly when q is even (see _halves)."""
-        h = {"symmetric": 0, "antisymmetric": self.r // 2}.get(self.rep.symmetry_kind())
-        return h in _halves(self.r, self.q)
+        return self.rep._pair_shift() in _halves(self.r, self.q)
 
-    def symmetry_kind(self) -> str:
-        """'symmetric', 'antisymmetric', or 'neither', as a matrix.
-
-        Read off the color shifts z_{|g|(j)} - z_j of an involution |g|:
-        symmetric (equal to its transpose) when every shift is 0,
-        antisymmetric (equal to the negated transpose) when every shift is
-        r/2, which leaves no fixed point, and neither otherwise.
-        """
+    def _pair_shift(self) -> int | None:
+        """The color shift h along the 2-cycles of an involution |g|, read
+        off the shifts z_{|g|(j)} - z_j: 0 when every shift is 0 (g equals
+        its transpose), r/2 when every shift is r/2 (g equals its negated
+        transpose, which leaves no fixed point), None otherwise."""
         perm, colors, r = self.perm, self.colors, self.r
         if any(perm[k - 1] != j for j, k in enumerate(perm, 1)):
-            return "neither"
+            return None
         shifts = {(colors[k - 1] - z) % r for k, z in zip(perm, colors)}
         if shifts <= {0}:
-            return "symmetric"
+            return 0
         if r % 2 == 0 and shifts == {r // 2}:
-            return "antisymmetric"
-        return "neither"
+            return r // 2
+        return None
+
+    def symmetry_kind(self) -> str:
+        """'symmetric', 'antisymmetric', or 'neither', as a matrix: the
+        2-cycle shift h (see _pair_shift) is 0, r/2, or none."""
+        h = self._pair_shift()
+        if h is None:
+            return "neither"
+        return "antisymmetric" if h else "symmetric"
 
     # -- signature --------------------------------------------------------------------
 
@@ -460,14 +464,14 @@ def _halves(r: int, q: int) -> tuple[int, ...]:
     return (0, r // 2) if q % 2 == 0 else (0,)
 
 
-def _involutions(r: int, n: int, half: int) -> list[ColoredPermutation]:
+def _involutions(r: int, n: int, h: int) -> list[ColoredPermutation]:
     """The elements of G(r,n) whose perm is an involution and whose two
-    rows of each 2-cycle (a, b), a < b, carry colors z and z + half:
-    symmetric for half = 0, antisymmetric for half = r/2, which leaves no
+    rows of each 2-cycle (a, b), a < b, carry colors z and z + h:
+    symmetric for h = 0, antisymmetric for h = r/2, which leaves no
     fixed point.  Sorted."""
     out = []
     for singles, pairs in cycle_pairings([1] * n):
-        if half and singles:
+        if h and singles:
             continue
         for assignment in product(range(r), repeat=len(singles) + len(pairs)):
             perm = list(range(1, n + 1))
@@ -477,7 +481,7 @@ def _involutions(r: int, n: int, half: int) -> list[ColoredPermutation]:
             for (a, b), z in zip(pairs, assignment[len(singles) :]):
                 perm[a], perm[b] = b + 1, a + 1
                 colors[a] = z
-                colors[b] = (z + half) % r
+                colors[b] = (z + h) % r
             out.append((tuple(perm), tuple(colors)))
     out.sort()
     return [ColoredPermutation(r, perm, colors) for perm, colors in out]

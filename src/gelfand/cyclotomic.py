@@ -24,10 +24,6 @@ from .errors import InconsistencyError
 from .immutable import Immutable
 
 
-def euler_phi(r: int) -> int:
-    return len(cyclotomic_polynomial(r)) - 1
-
-
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Divide two integer polynomials known to divide exactly.
 

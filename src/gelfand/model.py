@@ -42,7 +42,6 @@ from .characters import (
 from .classes import (
     InvolutionClassType,
     _raw_color_sum,
-    _type_of,
     check_enumeration_order,
     enumerate_classes,
     enumerate_involution_classes,
@@ -136,8 +135,8 @@ class ModelBasis(Immutable):
         if scope == "all":
             return self.types
         if scope in ("M0", "M1"):
-            kind = "sym" if scope == "M0" else "asym"
-            return tuple(ctype for ctype in self.types if ctype.kind == kind)
+            antisymmetric = scope == "M1"
+            return tuple(ctype for ctype in self.types if (ctype.h > 0) == antisymmetric)
         raise ValueError("scope must be 'all', 'M0', 'M1' or a type")
 
     def scope_indices(self, scope) -> tuple[int, ...]:
@@ -189,13 +188,13 @@ class ModelAction(Immutable):
 
 def _action_scalar(g: ColoredPermutation, v: ProjectiveElement, twist: bool) -> Cyclotomic:
     r = g.r
-    kind = v.rep.symmetry_kind()
-    if kind == "symmetric":
+    h = v.rep._pair_shift()
+    if h == 0:
         value = Cyclotomic.root(r, pairing(g, v))
         if inv_statistic(g, v) % 2:
             value = -value
         return value
-    if kind == "antisymmetric":
+    if h:
         exponent = pairing(g, v)
         if twist:
             exponent = (exponent + a_statistic(g, v)) % r
@@ -428,14 +427,14 @@ class _Sweep:
         if key not in self.blocks:
             r = self.r
             digits = []
-            for _ in range(2 * r):
+            for _ in range(2 * r - h):
                 code, digit = divmod(code, self.radix)
                 digits.append(digit)
             fixed, pair = tuple(digits[:r]), tuple(digits[r:])
             if _raw_color_sum(r, h, fixed, pair) % self.q:
                 self.blocks[key] = None
             else:
-                ctype = _type_of(r, self.p, h, fixed, pair)
+                ctype = InvolutionClassType(r, self.p, h, fixed, pair)
                 self.blocks[key] = self.numbers.setdefault(ctype, len(self.numbers))
         return self.blocks[key]
 
@@ -543,7 +542,7 @@ def model_character(basis: ModelBasis, scope="all", twist: bool = True) -> Class
     sweep's block sizes must be the basis's.
     """
     for i in basis.scope_indices(scope):
-        if basis.elements[i].rep.symmetry_kind() == "neither":
+        if basis.elements[i].rep._pair_shift() is None:
             raise ValueError("basis element is neither symmetric nor antisymmetric")
     histograms = _type_histograms(basis.r, basis.p, basis.q, basis.n, twist)
     sizes = _block_sizes(histograms)
@@ -559,7 +558,7 @@ def predicted_labels(ctype: InvolutionClassType) -> tuple[IrreducibleLabel, ...]
     """Predicted irreducible constituents of the block M(c): the shapes
     combinatorially attached to the type, taking the 0-half on symmetric
     blocks and the 1-half on antisymmetric ones."""
-    j = 0 if ctype.kind == "sym" else 1
+    j = 1 if ctype.h else 0
     labels = [
         IrreducibleLabel(orbit, j if orbit.m > 1 else 0)
         for orbit in predicted_shapes(ctype)

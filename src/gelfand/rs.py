@@ -118,16 +118,12 @@ def involution_tableau(v: ColoredPermutation) -> MultiTableau:
     Symmetric elements satisfy Q = P, antisymmetric ones Q = P shifted by
     half a turn, so P alone determines the element.
     """
-    kind = v.symmetry_kind()
-    p_tab, q_tab = rs(v)
-    if kind == "symmetric":
-        if q_tab != p_tab:
-            raise InconsistencyError("symmetric element with distinct P and Q")
-    elif kind == "antisymmetric":
-        if q_tab != multitableau_shift(p_tab, v.r // 2):
-            raise InconsistencyError("antisymmetric element broke the half shift")
-    else:
+    h = v._pair_shift()
+    if h is None:
         raise ValueError("element is not an absolute involution")
+    p_tab, q_tab = rs(v)
+    if q_tab != multitableau_shift(p_tab, h):
+        raise InconsistencyError("Q is not P shifted by the 2-cycle shift")
     return p_tab
 
 

@@ -444,6 +444,18 @@ def test_class_shapes_are_closed_under_color_scaling():
                 assert image in alphas, (r, p, n, v, alpha)
 
 
+@pytest.mark.parametrize(
+    "label",
+    [ConjugacyClass(2, 2, ((1, 1), ())), ConjugacyClass(3, 1, ((2,), (), ()))],
+    ids=["G(2,2,2)", "G(3,1,2)"],
+)
+def test_a_class_of_another_group_is_refused_by_name(label):
+    _, row = character_table(2, 1, 1, 2)[0]
+    with pytest.raises(ValueError) as info:
+        row(label)
+    assert str(info.value) == "%r is not a class of G(2,1,2)" % label
+
+
 def test_delta1_values_on_split_classes():
     two_two = ConjugacyClass(2, 2, ((2, 2), ()), 0)
     four_a = ConjugacyClass(2, 2, ((4,), ()), 0)

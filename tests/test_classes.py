@@ -181,7 +181,7 @@ def test_involution_type_display_examples():
 def test_identity_type():
     v = ColoredPermutation.identity(3, 4)
     ctype = involution_type(v)
-    assert ctype.kind == "sym"
+    assert ctype.h == 0
     assert ctype.fixed == (4, 0, 0)
     assert ctype.pair == (0, 0, 0)
 
@@ -189,8 +189,9 @@ def test_identity_type():
 def test_antisymmetric_type():
     v = parse_window("[2^0,1^1,4^0,3^1]", 2)
     ctype = involution_type(ProjectiveElement(v, 2))
-    assert ctype.kind == "asym"
-    assert ctype.twist == (2,)
+    assert ctype.h == 1
+    assert ctype.fixed == (0, 0)
+    assert ctype.pair == (2,)
     assert str(ctype) == "asym[2]"
 
 
@@ -250,7 +251,7 @@ def test_predicted_shapes_disjoint_across_types():
     classes = enumerate_involution_classes(2, 2, 1, 6)
     seen = {}
     for ctype, _ in classes:
-        if ctype.kind != "sym":
+        if ctype.h:
             continue
         for orbit in predicted_shapes(ctype):
             assert orbit not in seen, "shape predicted by two types"
@@ -284,7 +285,7 @@ def test_antisymmetric_cosets_single_class():
     # all antisymmetric cosets of the quotient are one S_n-class
     classes = enumerate_involution_classes(2, 2, 1, 4)
     asym = [
-        (ctype, ms) for ctype, ms in classes if ctype.kind == "asym"
+        (ctype, ms) for ctype, ms in classes if ctype.h
     ]
     assert len(asym) == 1
     assert len(asym[0][1]) == 6  # 12 antisymmetric lifts over +-1
@@ -355,14 +356,12 @@ def _reference_involution_type(v) -> InvolutionClassType:
                 fixed[cyc[0][1]] += 1
             else:
                 pair[cyc[0][1]] += 1
-        return InvolutionClassType(
-            r, shift_order, "sym", fixed=tuple(fixed), pair=tuple(pair)
-        )
+        return InvolutionClassType(r, shift_order, 0, tuple(fixed), tuple(pair))
     if kind == "antisymmetric":
         twist = [0] * (r // 2)
         for cyc in lift.cycles():
             twist[cyc[0][1] % (r // 2)] += 1
-        return InvolutionClassType(r, shift_order, "asym", twist=tuple(twist))
+        return InvolutionClassType(r, shift_order, r // 2, (0,) * r, tuple(twist))
     raise ValueError("element is neither symmetric nor antisymmetric")
 
 
@@ -404,7 +403,7 @@ def test_enumerator_panel_covers_quotients_and_antisymmetric_blocks():
     assert any(p > 1 for _, p, _, _ in ENUMERATOR_PANEL)
     assert any(q > 1 for _, _, q, _ in ENUMERATOR_PANEL)
     assert any(
-        ctype.kind == "asym" for ctype, _ in enumerate_involution_classes(2, 2, 1, 6)
+        ctype.h for ctype, _ in enumerate_involution_classes(2, 2, 1, 6)
     )
 
 
@@ -441,29 +440,54 @@ def test_enumerator_matches_reference(r, p, q, n):
             "element does not lie in the subgroup",
         ),
         (
-            lambda: InvolutionClassType(2, 1, "sym", (1, 0)),
-            ValueError,
-            "symmetric type takes fixed and pair vectors",
+            lambda: InvolutionClassType(2, 1, 0, (1, 0)),
+            TypeError,
+            "InvolutionClassType.__init__() missing 1 required positional argument: 'pair'",
         ),
         (
-            lambda: InvolutionClassType(2, 1, "sym", (1,), (0,)),
+            lambda: InvolutionClassType(2, 1, 0, (1,), (0,)),
             ValueError,
-            "vectors must have one entry per color",
+            "fixed needs r entries and pair r - h",
         ),
         (
-            lambda: InvolutionClassType(2, 1, "asym", (1, 0), (0, 0)),
+            lambda: InvolutionClassType(2, 1, 1, (1, 0), (0, 0)),
             ValueError,
-            "antisymmetric type takes the twist vector",
+            "fixed needs r entries and pair r - h",
         ),
         (
-            lambda: InvolutionClassType(2, 1, "asym", twist=(1, 0)),
+            lambda: InvolutionClassType(2, 1, 1, (0, 0), (1, 0)),
             ValueError,
-            "twist vector must have one entry per color pair",
+            "fixed needs r entries and pair r - h",
         ),
         (
-            lambda: InvolutionClassType(2, 1, "both", (1, 0), (0, 0)),
+            lambda: InvolutionClassType(2, 1, 2, (1, 0), (0, 0)),
             ValueError,
-            "kind must be 'sym' or 'asym'",
+            "2-cycle shift must be 0 or r/2",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, 1, (1, 0), (0,)),
+            ValueError,
+            "an antisymmetric type has no fixed point",
+        ),
+        (
+            lambda: InvolutionClassType.parse("sym[-1,2;0,0]", 2, 1),
+            ValueError,
+            "counts must be nonnegative",
+        ),
+        (
+            lambda: InvolutionClassType(2, 1, 1, (0, 0), (-2,)),
+            ValueError,
+            "counts must be nonnegative",
+        ),
+        (
+            lambda: InvolutionClassType.parse("asym[1]", 1, 1),
+            ValueError,
+            "2-cycle shift must be 0 or r/2",
+        ),
+        (
+            lambda: InvolutionClassType.parse("asym[1]", 3, 1),
+            ValueError,
+            "2-cycle shift must be 0 or r/2",
         ),
     ],
     ids=[
@@ -476,6 +500,11 @@ def test_enumerator_matches_reference(r, p, q, n):
         "InvolutionClassType-asym-args",
         "InvolutionClassType-asym-length",
         "InvolutionClassType-kind",
+        "InvolutionClassType-asym-fixed-point",
+        "InvolutionClassType-sym-negative",
+        "InvolutionClassType-asym-negative",
+        "parse-asym-r1",
+        "parse-asym-r3",
     ],
 )
 def test_refusals_name_their_reason(build, error, message):
@@ -485,4 +514,4 @@ def test_refusals_name_their_reason(build, error, message):
 
 
 def test_an_antisymmetric_type_counts_two_points_per_pair():
-    assert InvolutionClassType(4, 1, "asym", twist=(1, 2)).n == 6
+    assert InvolutionClassType(4, 1, 2, (0, 0, 0, 0), (1, 2)).n == 6

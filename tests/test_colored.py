@@ -308,6 +308,11 @@ def test_symmetry_kinds():
     assert parse_window("[2^1,1^0,3^1]", 4).symmetry_kind() == "neither"
 
 
+def test_every_involution_of_one_color_is_symmetric():
+    # with r = 1 the half turn r // 2 is 0, so no element is antisymmetric
+    assert {g.symmetry_kind() for g in symmetric_elements(1, 3)} == {"symmetric"}
+
+
 def _loop_symmetry_kind(self) -> str:
     """ColoredPermutation.symmetry_kind as a loop with one flag per kind,
     verbatim the implementation before it read the set of color shifts."""

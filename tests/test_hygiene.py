@@ -8,8 +8,8 @@ behind one module and are reduced mod Phi_r in one method, value types
 keep one identity (==, hash, <), one component shift and one affine
 color map, elements and cosets share one interface with no type test
 outside colored.py, which alone states the even-order rule of the
-antisymmetric involutions, the block sweep carries the 2-cycle shift h
-rather than a kind, and the command line writes stdout only through its
+antisymmetric involutions, only the involution type's text and
+symmetry_kind spell an involution's kind, and the command line writes stdout only through its
 emit helpers and help writer, renders JSON in one writer and exchanges
 the basis flags --p and --q in one helper."""
 
@@ -220,27 +220,31 @@ def scoped_nodes(tree):
     return walk(tree, [])
 
 
-def test_the_sweep_carries_the_two_cycle_shift_not_a_kind():
-    """model.py names the kinds "sym" and "asym" only where a scope or a
-    prediction reads a type's kind, and builds no InvolutionClassType: the
-    sweep carries the 2-cycle shift h, and classes._type_of turns a raw
-    type into a type."""
-    path = Path(gelfand.__file__).parent / "model.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    naming = {
-        scope
-        for scope, node in scoped_nodes(tree)
-        if isinstance(node, ast.Constant) and node.value in ("sym", "asym")
+def kind_spellings(pattern):
+    """(module, scope) for every string constant of the package that the
+    pattern matches in full."""
+    return {
+        (path.name, scope)
+        for path in SOURCES
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(pattern, node.value, re.DOTALL)
     }
-    assert naming == {"ModelBasis.scope_types", "predicted_labels"}
-    building = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "InvolutionClassType"
-    ]
-    assert not building, "model.py builds types at lines %s" % building
+
+
+def test_only_the_type_text_and_symmetry_kind_spell_a_kind():
+    """An involution's kind is its 2-cycle shift h: the kinds "sym" and
+    "asym", alone or as type text, are spelled only where
+    InvolutionClassType writes and reads its text, and "symmetric",
+    "antisymmetric" and "neither" only by ColoredPermutation.symmetry_kind."""
+    assert kind_spellings(r"a?sym(\[.*)?") == {
+        ("classes.py", "InvolutionClassType.__str__"),
+        ("classes.py", "InvolutionClassType.parse"),
+    }
+    assert kind_spellings("symmetric|antisymmetric|neither") == {
+        ("colored.py", "ColoredPermutation.symmetry_kind")
+    }
 
 
 def scalar_order_parities(tree):

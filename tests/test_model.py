@@ -772,8 +772,7 @@ def test_central_scalar_rotates_each_block_by_its_color_sum(group):
                 images.append((t, k, positions[class_of(scalar * normal_element(label), p)]))
     for twist in (True, False):
         for ctype, columns in _type_histograms(r, p, q, n, twist).items():
-            h = 0 if ctype.kind == "sym" else r // 2
-            e = _raw_color_sum(r, h, ctype.fixed or (0,) * r, ctype.pair or ctype.twist)
+            e = _raw_color_sum(r, ctype.h, ctype.fixed, ctype.pair)
             for t, k, image in images:
                 rotated = shape_shift(tuple(columns[k]), t * e)
                 assert tuple(columns[image]) == rotated, (twist, ctype, t, k)

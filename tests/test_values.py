@@ -178,10 +178,7 @@ def test_involution_types_and_cosets_keep_their_identity(r, p, q, n):
     blocks = enumerate_involution_classes(r, p, q, n)
     types = [ctype for ctype, _ in blocks]
     type_copies = [
-        InvolutionClassType(
-            t.r, t.shift_order, t.kind, fixed=t.fixed, pair=t.pair, twist=t.twist
-        )
-        for t in types
+        InvolutionClassType(t.r, t.shift_order, t.h, t.fixed, t.pair) for t in types
     ]
     assert_identity_matches(types, type_copies, type_eq, type_lt, type_hash)
     cosets = [v for _, members in blocks for v in members]
@@ -243,7 +240,7 @@ W = ColoredPermutation(2, (2, 1), (0, 1))
     [
         lambda: enumerate_shapes(2, 2, 0),
         lambda: enumerate_orbits(2, 2, 1, 0),
-        lambda: InvolutionClassType(2, 0, "sym", (1, 0), (0, 0)),
+        lambda: InvolutionClassType(2, 0, 0, (1, 0), (0, 0)),
         lambda: ConjugacyClass(2, 0, ((2,), ())),
         lambda: class_of(W, 0),
         lambda: list(subgroup_elements(2, 0, 2)),
@@ -283,7 +280,7 @@ def test_a_zero_order_raises_a_value_error(build):
         (lambda: ColoredPermutation.identity(2, -1), "need r >= 1 and n >= 0"),
         (lambda: ColoredPermutation.scalar(2, -1, 1), "need r >= 1 and n >= 0"),
         (
-            lambda: InvolutionClassType(0, 1, "sym", (), ()),
+            lambda: InvolutionClassType(0, 1, 0, (), ()),
             "r must be a positive integer",
         ),
     ],
