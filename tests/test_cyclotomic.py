@@ -28,10 +28,13 @@ def _unit_count(r: int) -> int:
     return sum(1 for k in range(1, r + 1) if gcd(k, r) == 1)
 
 
-def test_the_degree_of_the_cyclotomic_polynomial_is_the_unit_count():
+def test_euler_phi_small():
     assert [_unit_count(k) for k in range(1, 13)] == [
         1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4,
     ]
+
+
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
     for r in range(1, 61):
         assert len(cyclotomic_polynomial(r)) - 1 == _unit_count(r), r
 
