@@ -29,7 +29,7 @@ from .colored import (
     check_supported_group,
     group_order,
 )
-from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
+from .errors import ENUMERATION_GUARD, InconsistencyError, check_resource
 from .immutable import Value
 from .shapes import (
     Shape,
@@ -371,14 +371,9 @@ def predicted_shapes(ctype: InvolutionClassType) -> frozenset:
     return frozenset(ShapeOrbit(shape, p) for shape in product(*choices))
 
 
-def check_enumeration_order(r: int, n: int, max_order: int) -> None:
-    """The resource guard on the involution module: refuse r^n*n! above
-    max_order."""
-    order = group_order(r, 1, 1, n)
-    if order > max_order:
-        raise ResourceLimitError(
-            "involution enumeration needs r^n*n! <= %d (got %d)" % (max_order, order)
-        )
+def _order_measure(r: int, n: int) -> tuple:
+    """r^n*n!, the order of G(r,n), for check_resource: text and factors r*k."""
+    return "r^n*n! at r=%d, n=%d" % (r, n), (r * k for k in range(1, n + 1))
 
 
 def enumerate_involution_classes(
@@ -391,7 +386,7 @@ def enumerate_involution_classes(
     the basis of its model.  Guarded by r^n·n! <= max_order.
     """
     check_group_parameters(r, p, q, n)
-    check_enumeration_order(r, n, max_order)
+    check_resource("involution enumeration", *_order_measure(r, n), max_order)
     lifts = [w for h in _halves(r, p) for w in _involutions(r, n, h)]
     # one least lift per coset: its first color is below r/p; the lists are
     # sorted and no type mixes the two kinds, so every bucket fills in order.

@@ -396,7 +396,9 @@ _GUARD = (
         "--max-group-order",
         type=int,
         default=None,
-        help="enumeration guard on r^n*n! (default %d, or MODEL_MAX_ORDER)"
+        help="bound of the one resource guard, which checks r^n*n! (for the "
+        "model commands a stand-in for their work) factor by factor, so a "
+        "huge n is refused at once (default %d, or MODEL_MAX_ORDER)"
         % ENUMERATION_GUARD,
     ),
 )

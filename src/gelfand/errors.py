@@ -1,10 +1,13 @@
-"""Shared exception types, and the default of the resource guard.
+"""Shared exception types, and the resource guard with its default.
 
 The library distinguishes three failure modes beyond plain ValueError:
 parameters that name a group outside the supported regime, computations
 that would exceed an explicit resource guard, and internal consistency
 checks (exact identities that must hold) failing.
 """
+
+from itertools import accumulate
+from operator import mul
 
 
 class UnsupportedGroupError(ValueError):
@@ -21,6 +24,15 @@ class ResourceLimitError(RuntimeError):
 
 # The guard's default bound on the order of an enumerated group.
 ENUMERATION_GUARD = 10**6
+
+
+def check_resource(work: str, measure: str, factors, bound: int) -> None:
+    """The one resource guard: refuse the work when the product of the
+    positive integer factors exceeds bound, at the first partial product
+    past it, so a huge size is refused without being built.  The message
+    names the work, the measure with its inputs, and the bound."""
+    if any(size > bound for size in accumulate(factors, mul, initial=1)):
+        raise ResourceLimitError("%s: %s exceeds %d" % (work, measure, bound))
 
 
 class InconsistencyError(RuntimeError):

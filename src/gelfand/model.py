@@ -41,8 +41,8 @@ from .characters import (
 )
 from .classes import (
     InvolutionClassType,
+    _order_measure,
     _raw_color_sum,
-    check_enumeration_order,
     enumerate_classes,
     enumerate_involution_classes,
     normal_element,
@@ -57,7 +57,7 @@ from .colored import (
     projective_conjugate,
 )
 from .cyclotomic import Cyclotomic, _HistogramValues, _exponent_map
-from .errors import ENUMERATION_GUARD, InconsistencyError
+from .errors import ENUMERATION_GUARD, InconsistencyError, check_resource
 from .immutable import Immutable
 
 
@@ -504,19 +504,17 @@ def _type_histograms(r: int, p: int, q: int, n: int, twist: bool = True):
     }
 
 
-def _scope_characters(r: int, p: int, n: int, histograms, groups) -> list[ClassFunction]:
-    """The character of each group of blocks, class by class the sum of its
-    blocks' histograms; one Cyclotomic per distinct histogram."""
+def _scope_characters(r: int, p: int, n: int, histograms, groups):
+    """Yield the character of each group of blocks, class by class the sum
+    of its blocks' histograms; one Cyclotomic per distinct histogram."""
     zero = [(0,) * r] * len(enumerate_classes(r, p, n))
     values = _HistogramValues(r)
-    out = []
     for group in groups:
         column = [
             values[tuple(map(sum, zip(*cells)))]
             for cells in zip(*[histograms[ctype] for ctype in group] or [zero])
         ]
-        out.append(ClassFunction(r, p, n, column))
-    return out
+        yield ClassFunction(r, p, n, column)
 
 
 def _block_sizes(histograms) -> dict:
@@ -635,7 +633,8 @@ def _blocks_and_table(r: int, p: int, q: int, n: int, max_order: int):
     groups past the guard max_order on r^n*n!, are refused before the
     sweep."""
     check_supported_group(r, p, q, n)
-    check_enumeration_order(r, n, max_order)
+    work = "the model check (r^n*n! stands in for its work until ROADMAP item 2)"
+    check_resource(work, *_order_measure(r, n), max_order)
     histograms = _type_histograms(r, p, q, n)
     sizes = _block_sizes(histograms)
     table = character_table(r, p, q, n)

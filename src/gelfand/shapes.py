@@ -15,7 +15,7 @@ from itertools import product
 from math import factorial
 from operator import neg
 
-from .errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
+from .errors import ENUMERATION_GUARD, InconsistencyError, check_resource
 from .immutable import Value
 
 Shape = tuple  # tuple of partitions, each a weakly decreasing tuple of ints
@@ -42,6 +42,8 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def validate_shape(shape: Shape) -> None:
+    if not shape:
+        raise ValueError("a shape needs at least one component")
     for comp in shape:
         for a, b in zip(comp, comp[1:]):
             if a < b:
@@ -241,21 +243,14 @@ def enumerate_standard(shape: Shape) -> list[tuple]:
     Each filling is a tuple of components, a component being a tuple of row
     tuples.  The entries are placed in order, each at the end of a row
     shorter than both its target length and the row above it.  Guarded to
-    n <= 12 and to at most ENUMERATION_GUARD fillings.
-    """
+    n <= 12, which also keeps place's n + 1 nested calls far below the
+    recursion limit, and to at most ENUMERATION_GUARD fillings."""
     validate_shape(shape)
     n = shape_size(shape)
-    if n > STANDARD_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            "standard filling enumeration is limited to %d boxes (asked for %d)"
-            % (STANDARD_ENUMERATION_LIMIT, n)
-        )
-    count = count_standard(shape)
-    if count > ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            "standard filling enumeration would build %d fillings (limit %d)"
-            % (count, ENUMERATION_GUARD)
-        )
+    work = "standard filling enumeration"
+    check_resource(work, "the box count n=%d" % n, (n,), STANDARD_ENUMERATION_LIMIT)
+    fillings = "the filling count of %s" % shape_str(shape)
+    check_resource(work, fillings, (count_standard(shape),), ENUMERATION_GUARD)
 
     rows = [[[] for _ in comp] for comp in shape]
     result = []

@@ -19,7 +19,7 @@ from gelfand.colored import (
     cycle_pairings,
 )
 from gelfand.cyclotomic import Cyclotomic
-from gelfand.errors import ENUMERATION_GUARD, InconsistencyError, ResourceLimitError
+from gelfand.errors import ENUMERATION_GUARD, InconsistencyError, check_resource
 from gelfand.model import ModelBasis, model_character
 
 
@@ -71,13 +71,12 @@ def a_sets(g: ColoredPermutation, eps: int, max_count: int = ENUMERATION_GUARD):
     if r % 2 != 0:
         return {}
     if n % 2 == 0:
-        count = r ** (n // 2)
-        for k in range(1, n, 2):
-            count *= k
-        if count > max_count:
-            raise ResourceLimitError(
-                "antisymmetric enumeration needs %d <= %d" % (count, max_count)
-            )
+        check_resource(
+            "antisymmetric enumeration",
+            "r^(n/2)*(n-1)!! at r=%d, n=%d" % (r, n),
+            (r * k for k in range(1, n, 2)),
+            max_count,
+        )
     cycles = g.cycles()
     target_shift = (eps * (r // 2)) % r
     buckets: dict[tuple, list[ColoredPermutation]] = {}

@@ -559,7 +559,7 @@ def test_inner_product_agrees_with_reference_on_the_projection_fallback():
     # when the shortcut is not taken
     r, p, q, n = 6, 1, 2, 3
     histograms = _type_histograms(r, p, q, n)
-    blocks = _scope_characters(r, p, n, histograms, [(t,) for t in histograms])
+    blocks = list(_scope_characters(r, p, n, histograms, [(t,) for t in histograms]))
     assert len(blocks) == 46
     table = character_table(r, p, q, n)
     for f in blocks:

@@ -10,6 +10,7 @@ from gelfand.classes import (
     ENUMERATION_GUARD,
     ConjugacyClass,
     InvolutionClassType,
+    _order_measure,
     class_of,
     class_size,
     enumerate_classes,
@@ -30,7 +31,7 @@ from gelfand.colored import (
     subgroup_elements,
     symmetric_elements,
 )
-from gelfand.errors import ResourceLimitError, UnsupportedGroupError
+from gelfand.errors import ResourceLimitError, UnsupportedGroupError, check_resource
 from gelfand.shapes import ShapeOrbit
 
 
@@ -296,6 +297,24 @@ def test_enumeration_guard():
         enumerate_involution_classes(6, 6, 1, 14)
 
 
+@pytest.mark.parametrize("r", range(1, 13))
+def test_the_guard_refuses_exactly_past_the_order(r):
+    # factor by factor, the guard refuses just where r^n*n! computed in
+    # full exceeds the bound
+    for n in range(13):
+        order = r**n * factorial(n)
+        for bound in (order - 1, order, order + 1, 1, 10**6):
+            try:
+                check_resource("enumeration", *_order_measure(r, n), bound)
+                refused = False
+            except ResourceLimitError as exc:
+                assert str(exc) == "enumeration: r^n*n! at r=%d, n=%d exceeds %d" % (
+                    r, n, bound
+                )
+                refused = True
+            assert refused == (order > bound), (r, n, bound)
+
+
 def test_involution_type_refuses_exactly_the_non_absolute_involutions():
     # plain elements and cosets of scalar order 1 and 2: antisymmetric
     # lifts are absolute involutions only in the latter
@@ -420,6 +439,11 @@ def test_enumerator_matches_reference(r, p, q, n):
     "build, error, message",
     [
         (
+            lambda: ConjugacyClass(0, 1, ()),
+            ValueError,
+            "a shape needs at least one component",
+        ),
+        (
             lambda: ConjugacyClass(2, 1, ((1,),)),
             ValueError,
             "label needs one component per color",
@@ -491,6 +515,7 @@ def test_enumerator_matches_reference(r, p, q, n):
         ),
     ],
     ids=[
+        "ConjugacyClass-no-components",
         "ConjugacyClass-components",
         "ConjugacyClass-color",
         "ConjugacyClass-half",

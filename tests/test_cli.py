@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,29 @@ def test_guard_env_variable(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["model", "decompose"],
+        ["model", "gelfand-check"],
+        ["involutions", "list"],
+        ["involutions", "types"],
+    ],
+    ids=" ".join,
+)
+def test_a_huge_n_is_refused_at_once(capsys, command):
+    # r^n*n! at n = 10^7 has tens of millions of digits; the guard refuses
+    # within a few factors and never prints the number
+    start = time.perf_counter()
+    group = ["--r", "2", "--p", "1", "--q", "1", "--n", "10000000"]
+    code, out, err = run(capsys, command + group)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    (line,) = err.splitlines()
+    assert line.startswith("resource limit: ") and len(line) < 200
+    assert "4300 digits" not in line
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_guard_flag_refuses_non_positive(capsys, value):
     code, out, err = run(
@@ -571,19 +595,19 @@ HELP_OUTPUT = [
     (["model"], "f49ce9798bba9af4aec90ff90a5b8dbbb955309360908c1211822d9c4a1d1592"),
     (
         ["model", "decompose"],
-        "67e32471530f652429590f6477ab34f0e3c2901830705f21342d67847df4530e",
+        "1aa08451a870c304448d84191e89489365e76fe6c56722bcbbce63d0e824ccac",
     ),
     (
         ["model", "gelfand-check"],
-        "3695b295436f0dd0a91c2a99ece8fd4ed4408b39da788fca3a64f4945db42002",
+        "ea4d8fea5a99668c6b79c7b7c83fc35dd4e9c523f3309954f259759f614c57d5",
     ),
     (
         ["involutions", "list"],
-        "3ee1c6949824873b7f6dd9d989a21f8eed425c92a8e8877f43651bcbf9e10cda",
+        "151b62d798edd595b170a5ac1c5d21841154c98311295211715d63fa82d8f9ab",
     ),
     (
         ["involutions", "types"],
-        "49da017efdcc6bfaf6f2756e57aa096d14b5ff5ae92d5a151e2ef1fd4170f1f4",
+        "8b52231dd4d6e1ec31267bc77bd9fcc58e7cce803d62dc9eed069aedf8303ac3",
     ),
     (["chartable"], "87d8e813c8dc349ecf7045e372300d327e91e96a96ddf0c04cccd23bf7db629c"),
     (["rs", "apply"], "26c87f4fc4ac455395f3881cdbc7a0259c32845a6453adcb2108d3a649447126"),

@@ -9,9 +9,10 @@ keep one identity (==, hash, <), one component shift and one affine
 color map, elements and cosets share one interface with no type test
 outside colored.py, which alone states the even-order rule of the
 antisymmetric involutions, only the involution type's text and
-symmetry_kind spell an involution's kind, and the command line writes stdout only through its
-emit helpers and help writer, renders JSON in one writer and exchanges
-the basis flags --p and --q in one helper."""
+symmetry_kind spell an involution's kind, every size refusal is raised
+by the one resource guard, and the command line writes stdout only
+through its emit helpers and help writer, renders JSON in one writer and
+exchanges the basis flags --p and --q in one helper."""
 
 import ast
 import re
@@ -245,6 +246,20 @@ def test_only_the_type_text_and_symmetry_kind_spell_a_kind():
     assert kind_spellings("symmetric|antisymmetric|neither") == {
         ("colored.py", "ColoredPermutation.symmetry_kind")
     }
+
+
+def test_only_the_resource_guard_raises_a_resource_limit():
+    """errors.check_resource is the one place a size is refused: every
+    other guard hands it the size as factors."""
+    raising = {
+        (path.name, scope)
+        for path in SOURCES
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "ResourceLimitError" in referenced_names(node.exc)
+    }
+    assert raising == {("errors.py", "check_resource")}
 
 
 def scalar_order_parities(tree):

@@ -816,11 +816,11 @@ def test_guard_runs_before_the_sweep(monkeypatch, capsys):
 
     monkeypatch.setattr(gelfand.model, "_class_window", refuse)
     for driver in (verify_class_decomposition, gelfand_check):
-        with pytest.raises(ResourceLimitError, match=r"r\^n\*n! <= 10 \(got 384\)"):
+        with pytest.raises(ResourceLimitError, match=r"r\^n\*n! at r=2, n=4 exceeds 10$"):
             driver(2, 1, 1, 4, max_order=10)
     argv = ["model", "decompose", "--r", "2", "--p", "1", "--q", "1", "--n", "4"]
     assert main(argv + ["--max-group-order", "10"]) == 2
-    assert "resource limit: involution enumeration" in capsys.readouterr().err
+    assert "resource limit: the model check (r^n*n! stands in" in capsys.readouterr().err
 
 
 def _reference_inner_product(f, g):
